@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import (
     ActorFanIn,
@@ -70,7 +70,13 @@ def _hero_train_time(
 ) -> float:
     """Wall-clock seconds for one short HERO training run at N_ENVS."""
     scenario = ScenarioConfig(episode_length=30)
-    config = TrainingConfig(seed=0)
+    execution = Execution(
+        num_envs=N_ENVS,
+        async_actors=async_actors,
+        max_staleness=MAX_STALENESS if async_actors else 0,
+        num_actors=num_actors if async_actors else 1,
+    )
+    config = TrainingConfig(seed=0, execution=execution)
     config.scenario = scenario
     env = CooperativeLaneChangeEnv(scenario=scenario)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=128)
@@ -80,12 +86,8 @@ def _hero_train_time(
         team,
         episodes=EPISODES,
         config=config,
-        num_envs=N_ENVS,
         eval_every=0,
         updates_per_episode=updates_per_episode,
-        async_actors=async_actors,
-        max_staleness=MAX_STALENESS if async_actors else 0,
-        num_actors=num_actors if async_actors else 1,
     )
     return time.perf_counter() - start
 

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from repro.baselines import make_baseline, train_marl_vectorized
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.envs import CooperativeLaneChangeEnv, make_baseline_vector_env
 
@@ -49,22 +49,19 @@ def _hero_logger(
     max_staleness: int = 0,
     num_actors: int = 1,
 ):
-    config = TrainingConfig(seed=seed)
-    config.scenario = SCENARIO
-    env = CooperativeLaneChangeEnv(scenario=SCENARIO)
-    team = HeroTeam(env, np.random.default_rng(seed), batch_size=32)
-    return train_hero(
-        env,
-        team,
-        episodes=episodes,
-        config=config,
+    execution = Execution(
         num_envs=num_envs,
-        eval_every=2,
-        eval_episodes=2,
         fused_updates=fused,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
+    )
+    config = TrainingConfig(seed=seed, execution=execution)
+    config.scenario = SCENARIO
+    env = CooperativeLaneChangeEnv(scenario=SCENARIO)
+    team = HeroTeam(env, np.random.default_rng(seed), batch_size=32)
+    return train_hero(
+        env, team, episodes=episodes, config=config, eval_every=2, eval_episodes=2
     )
 
 
@@ -90,10 +87,13 @@ def _idqn_logger(
             seed=seed,
             eval_every=2,
             eval_episodes=2,
-            fused_updates=fused,
-            async_actors=async_actors,
-            max_staleness=max_staleness,
-            num_actors=num_actors,
+            execution=Execution(
+                num_envs=num_envs,
+                fused_updates=fused,
+                async_actors=async_actors,
+                max_staleness=max_staleness,
+                num_actors=num_actors,
+            ),
         )
     finally:
         vec_env.close()

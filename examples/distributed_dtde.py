@@ -33,10 +33,11 @@ Usage::
 
 import argparse
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from repro.config import TrainingConfig
+from repro.config import Execution, TrainingConfig
 from repro.core import HeroTeam, train_hero, train_low_level_skills
 from repro.distributed import DistributedObservationService
 from repro.envs import CooperativeLaneChangeEnv, EnvReplicaFactory, ShardedVectorEnv
@@ -83,15 +84,12 @@ def async_actor_learner_demo(
     """
     env = CooperativeLaneChangeEnv(scenario=config.scenario, rewards=config.rewards)
     team = HeroTeam(env, np.random.default_rng(config.seed), batch_size=32)
+    execution = Execution(
+        num_envs=num_envs, async_actors=True, max_staleness=max_staleness
+    )
     start = time.perf_counter()
     logger = train_hero(
-        env,
-        team,
-        episodes=episodes,
-        config=config,
-        num_envs=num_envs,
-        async_actors=True,
-        max_staleness=max_staleness,
+        env, team, episodes=episodes, config=replace(config, execution=execution)
     )
     elapsed = time.perf_counter() - start
     staleness = logger.values("hero/snapshot_staleness")

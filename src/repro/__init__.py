@@ -44,6 +44,7 @@ from .baselines import (
     train_marl_vectorized,
 )
 from .config import (
+    Execution,
     PaperHyperparameters,
     RewardConfig,
     ScenarioConfig,
@@ -75,6 +76,7 @@ __version__ = "1.1.0"
 __all__ = [
     "Checkpoint",
     "CheckpointError",
+    "Execution",
     "HeroTeam",
     "LoadedPolicy",
     "MicroBatcher",

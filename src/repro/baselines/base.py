@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from ..config import Execution
 from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
 from ..utils.schedule import LinearSchedule
 from ..utils.seeding import episode_reset_seeds
@@ -242,6 +243,7 @@ def train_marl(
     )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
+    losses = None
     for episode in range(episodes):
         epsilon = epsilon_schedule(episode)
         if hasattr(algorithm, "epsilon"):
@@ -303,10 +305,7 @@ def train_marl_vectorized(
     eval_every: int | None = None,
     eval_episodes: int = 3,
     eval_num_envs: int | None = None,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> MetricLogger:
     """:func:`train_marl` with the rollout phase on a ``VectorBaselineEnv``.
 
@@ -330,27 +329,25 @@ def train_marl_vectorized(
     sharded worker processes: its batch is too small to amortise worker
     dispatch, and results are bit-for-bit identical either way.
 
-    ``async_actors`` moves the rollout phase into a separate actor process
-    on the async actor–learner stack
+    ``execution`` supplies ``fused_updates`` and the async collection
+    settings; the env batch itself (its size and sharding) is ``vec_env``.
+    ``async_actors`` moves the rollout phase into actor processes on the
+    async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
     supports it (other baselines fall back to this synchronous loop with a
     warning — their recurrent update/rollout coupling has no capture-replay
     protocol yet).  ``max_staleness=0`` is a lockstep barrier, bitwise
-    identical to the synchronous loop; larger values let the actor run
-    ahead of the newest policy snapshot by that many collection rounds.
-    ``num_actors`` fans collection out to that many actor processes —
-    bitwise invariant under the lockstep barrier (replicated collection),
-    a stride partition of the same episode/seed universe when staleness
-    is allowed.
+    identical to the synchronous loop at any ``num_actors`` fan-out.
     """
     logger = logger or MetricLogger()
     prefix = metric_prefix or algorithm.name
     engine = None
-    if fused_updates:
+    if execution.fused_updates:
         from ..core.update_engine import UpdateEngine
 
         engine = UpdateEngine(algorithm)
     update_fn = engine.update if engine is not None else algorithm.update
+    async_actors = execution.async_actors
     if async_actors:
         from .idqn import IndependentDQN
 
@@ -407,9 +404,8 @@ def train_marl_vectorized(
                 eval_episodes,
                 eval_vec_env,
                 update_fn,
+                execution,
                 engine=engine,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
             )
         return _train_marl_vectorized_loop(
             vec_env,

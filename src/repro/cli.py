@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+
+from .config import Execution
 
 
 def _cmd_list(_args) -> int:
@@ -63,12 +66,7 @@ def _cmd_run(args) -> int:
         args.experiment,
         scale=args.scale,
         seed=args.seed,
-        num_envs=args.num_envs,
-        num_workers=args.num_workers,
-        fused_updates=args.fused_updates,
-        async_actors=args.async_actors,
-        max_staleness=args.max_staleness,
-        num_actors=args.num_actors,
+        execution=args.execution,
         checkpoint_dir=args.checkpoint_dir,
         dtype=args.dtype,
     )
@@ -85,12 +83,7 @@ def _cmd_run_all(args) -> int:
             exp_id,
             scale=args.scale,
             seed=args.seed,
-            num_envs=args.num_envs,
-            num_workers=args.num_workers,
-            fused_updates=args.fused_updates,
-            async_actors=args.async_actors,
-            max_staleness=args.max_staleness,
-            num_actors=args.num_actors,
+            execution=args.execution,
             dtype=args.dtype,
         )
     return 0
@@ -215,50 +208,51 @@ def _cmd_checkpoint_create(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by ``run`` and ``run-all``: budget, seed, the
+    :class:`~repro.config.Execution` fields and the compute dtype.
 
-    sub.add_parser("list", help="list registered experiments").set_defaults(
-        func=_cmd_list
-    )
-
-    run = sub.add_parser("run", help="run one experiment harness")
-    run.add_argument("experiment", help="fig7 | fig8 | fig10 | fig11 | table2")
-    run.add_argument("--scale", type=float, default=0.01)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
+    The execution flags are parsed as plain integers; :func:`main` builds
+    the spec, whose own check rejects out-of-range values as a usage error
+    of this sub-command.
+    """
+    default = Execution()
+    parser.add_argument("--scale", type=float, default=0.01)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
         "--num-envs",
-        type=_positive_int,
-        default=1,
+        type=int,
+        default=default.num_envs,
         help=(
             "vectorized env copies for training AND the interleaved greedy "
             "evaluations, for HERO and all four baselines (1 = scalar loops)"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--num-workers",
-        type=_positive_int,
-        default=1,
+        type=int,
+        default=default.num_workers,
         help=(
             "worker processes the vectorized env batch is sharded across "
             "(envs.sharded_env.ShardedVectorEnv; applies when --num-envs > 1; "
             "bit-for-bit equal to single-process stepping at any count)"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--fused-updates",
         action="store_true",
+        default=default.fused_updates,
         help=(
             "batch gradient updates across architecturally identical "
-            "networks (core.update_engine): HERO critics/actors/opponent "
-            "models and IDQN update as stacked families; tolerance-"
-            "equivalent to the default per-network loop, not bitwise"
+            "networks (core.update_engine): HERO, IDQN, MADDPG and MAAC "
+            "update as stacked families, COMA keeps its own update; "
+            "tolerance-equivalent to the default per-network loop, not bitwise"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--async-actors",
         action="store_true",
+        default=default.async_actors,
         help=(
             "run rollouts in a separate actor process on the async "
             "actor-learner stack (distributed.actor_learner; HERO and "
@@ -266,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
             "synchronous)"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--max-staleness",
         type=int,
-        default=0,
+        default=default.max_staleness,
         help=(
             "snapshot-staleness budget for --async-actors, in collection "
             "rounds: 0 = lockstep barrier, bitwise identical to the "
@@ -277,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
             "policy snapshot and logs <prefix>/snapshot_staleness"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--num-actors",
-        type=_positive_int,
-        default=1,
+        type=int,
+        default=default.num_actors,
         help=(
             "rollout actor processes for --async-actors: with "
             "--max-staleness 0 results stay bitwise identical at any "
@@ -289,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and collection throughput scales with the count"
         ),
     )
-    run.add_argument(
+    parser.add_argument(
         "--dtype",
         choices=["float64", "float32"],
         default="float64",
@@ -301,6 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
             "tolerance contract (docs/ARCHITECTURE.md, Precision)"
         ),
     )
+    parser.set_defaults(execution_parser=parser)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("list", help="list registered experiments").set_defaults(
+        func=_cmd_list
+    )
+
+    run = sub.add_parser("run", help="run one experiment harness")
+    run.add_argument("experiment", help="fig7 | fig8 | fig10 | fig11 | table2")
+    _add_run_flags(run)
     run.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -313,79 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     run_all = sub.add_parser("run-all", help="run every experiment harness")
-    run_all.add_argument("--scale", type=float, default=0.01)
-    run_all.add_argument("--seed", type=int, default=0)
-    run_all.add_argument(
-        "--num-envs",
-        type=_positive_int,
-        default=1,
-        help=(
-            "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = scalar loops)"
-        ),
-    )
-    run_all.add_argument(
-        "--num-workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "worker processes the vectorized env batch is sharded across "
-            "(envs.sharded_env.ShardedVectorEnv; applies when --num-envs > 1; "
-            "bit-for-bit equal to single-process stepping at any count)"
-        ),
-    )
-    run_all.add_argument(
-        "--fused-updates",
-        action="store_true",
-        help=(
-            "batch gradient updates across architecturally identical "
-            "networks (core.update_engine): HERO critics/actors/opponent "
-            "models and IDQN update as stacked families; tolerance-"
-            "equivalent to the default per-network loop, not bitwise"
-        ),
-    )
-    run_all.add_argument(
-        "--async-actors",
-        action="store_true",
-        help=(
-            "run rollouts in a separate actor process on the async "
-            "actor-learner stack (distributed.actor_learner; HERO and "
-            "IDQN, needs --num-envs > 1; other baselines warn and stay "
-            "synchronous)"
-        ),
-    )
-    run_all.add_argument(
-        "--max-staleness",
-        type=int,
-        default=0,
-        help=(
-            "snapshot-staleness budget for --async-actors, in collection "
-            "rounds: 0 = lockstep barrier, bitwise identical to the "
-            "synchronous loop; > 0 lets the actor run ahead of the newest "
-            "policy snapshot and logs <prefix>/snapshot_staleness"
-        ),
-    )
-    run_all.add_argument(
-        "--num-actors",
-        type=_positive_int,
-        default=1,
-        help=(
-            "rollout actor processes for --async-actors: with "
-            "--max-staleness 0 results stay bitwise identical at any "
-            "count (replicated collection); with --max-staleness > 0 "
-            "each actor collects its own slice of the episode universe "
-            "and collection throughput scales with the count"
-        ),
-    )
-    run_all.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help=(
-            "floating-point compute precision for every experiment in the "
-            "sweep (see `run --dtype`)"
-        ),
-    )
+    _add_run_flags(run_all)
     run_all.set_defaults(func=_cmd_run_all)
 
     watch = sub.add_parser("watch", help="render a scripted episode as ASCII")
@@ -449,6 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    execution_parser = getattr(args, "execution_parser", None)
+    if execution_parser is not None:
+        try:
+            args.execution = Execution(
+                **{f.name: getattr(args, f.name) for f in fields(Execution)}
+            )
+        except ValueError as exc:
+            execution_parser.error(str(exc))
     return args.func(args)
 
 

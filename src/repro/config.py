@@ -7,6 +7,7 @@ of vehicles, option set) live in :class:`ScenarioConfig`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 
@@ -114,6 +115,76 @@ class TestbedConfig:
     evaluation_episodes: int = 20
 
 
+@dataclass(frozen=True)
+class Execution:
+    """How a training run executes: one validated spec for every loop.
+
+    ``num_envs``: vectorized env copies the rollouts (and the interleaved
+    greedy evaluations) step in parallel; 1 keeps the scalar loops.
+
+    ``num_workers``: worker processes the env batch is sharded across
+    (``repro.envs.sharded_env``; applies when ``num_envs > 1``);
+    bit-for-bit equal to in-process stepping at any count.
+
+    ``fused_updates``: route gradient updates through
+    ``repro.core.update_engine``, which stacks architecturally identical
+    networks into one forward/backward per family.  HERO (skills and
+    team), IDQN, MADDPG and MAAC fuse; COMA keeps its own update.
+    Tolerance-equivalent to the per-network loop, not bitwise.
+
+    ``async_actors``: collect rollouts in separate actor processes
+    (``repro.distributed.actor_learner``; HERO and IDQN).  Needs
+    ``num_envs > 1``: :meth:`resolved` falls back to the synchronous loop
+    with a warning otherwise.
+
+    ``max_staleness``: snapshot-staleness budget for ``async_actors``, in
+    collection rounds.  0 is a lockstep barrier, bitwise identical to the
+    synchronous loop; ``k > 0`` lets the actors run up to ``k`` rounds
+    ahead of the newest policy snapshot.
+
+    ``num_actors``: rollout actor processes for ``async_actors``.  Under
+    lockstep the result is bitwise identical at any count (replicated
+    collection); with ``max_staleness > 0`` each actor collects its own
+    slice of the episode universe.
+
+    The compute dtype is not part of the spec: it is a process-wide
+    default (``repro.nn.default_dtype``) that must be set before any
+    network is built.
+    """
+
+    num_envs: int = 1
+    num_workers: int = 1
+    fused_updates: bool = False
+    async_actors: bool = False
+    max_staleness: int = 0
+    num_actors: int = 1
+
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("num_envs", 1),
+            ("num_workers", 1),
+            ("num_actors", 1),
+            ("max_staleness", 0),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+
+    def resolved(self) -> "Execution":
+        """The spec a run actually executes: async collection needs an
+        env batch, so ``async_actors`` at ``num_envs == 1`` falls back to
+        the synchronous scalar loop with a ``RuntimeWarning``."""
+        if not self.async_actors or self.num_envs > 1:
+            return self
+        warnings.warn(
+            "async_actors needs num_envs > 1 (the actor process steps a "
+            "vectorized env batch); falling back to the synchronous scalar loop",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return replace(self, async_actors=False)
+
+
 @dataclass
 class TrainingConfig:
     """Bundle handed to training loops; mutable because trainers anneal it."""
@@ -122,46 +193,7 @@ class TrainingConfig:
     rewards: RewardConfig = field(default_factory=RewardConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     seed: int = 0
-    # Number of vectorized environment copies the rollout phase steps in
-    # parallel (1 = the scalar loop; >1 uses envs.vector_env.VectorEnv with
-    # batched policy inference).
-    num_envs: int = 1
-    # Number of worker processes the vectorized env batch is sharded
-    # across (1 = in-process stepping; >1 uses envs.sharded_env.
-    # ShardedVectorEnv — bit-for-bit equal to the single-process engine at
-    # the same num_envs).  Applies when num_envs > 1.
-    num_workers: int = 1
-    # Route gradient updates through core.update_engine.UpdateEngine, which
-    # batches architecturally identical networks into one fused
-    # forward/backward per family.  Numerically equivalent to the default
-    # per-network loop within float tolerance (not bitwise — see
-    # docs/ARCHITECTURE.md, "Update phase").
-    fused_updates: bool = False
-    # Run rollouts in a separate actor process (distributed.actor_learner):
-    # the actor steps the vectorized env batch and pulls versioned policy
-    # snapshots from a shared-memory parameter server while the learner
-    # updates continuously.  Applies when num_envs > 1.
-    async_actors: bool = False
-    # Snapshot-staleness budget for async_actors, in collection rounds.
-    # 0 = lockstep barrier — bitwise identical to the synchronous loop;
-    # k > 0 lets the actor run up to k rounds ahead of the newest snapshot
-    # (rollout and update genuinely overlap; staleness is logged per round).
-    max_staleness: int = 0
-    # Number of rollout actor processes for async_actors (the fan-out).
-    # Under the lockstep barrier (max_staleness == 0) results are bitwise
-    # identical at any num_actors (replicated collection, round-robin
-    # attribution); with max_staleness > 0 each actor steps its own env
-    # batch on forked RNG streams and collection throughput scales with
-    # the actor count.
-    num_actors: int = 1
-    # Floating-point compute dtype for the whole stack ("float64" |
-    # "float32").  float64 is the default and bitwise-identical to the
-    # original implementation; float32 roughly doubles the BLAS-bound
-    # update phase and halves every payload (snapshots, rings, shm env
-    # state, checkpoints) under the tolerance contract documented in
-    # docs/ARCHITECTURE.md ("Precision").  Applied process-globally via
-    # repro.nn.set_default_dtype before networks are built.
-    dtype: str = "float64"
+    execution: Execution = field(default_factory=Execution)
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     epsilon_decay_episodes: int = 2_000

@@ -55,7 +55,7 @@ def train_low_level_skills(
     rng = np.random.default_rng(config.seed)
     obs_dim = low_level_obs_dim(config.scenario)
     skills = skills or SkillLibrary(obs_dim, rng, hyper=config.hyper)
-    fused = config.fused_updates
+    fused = config.execution.fused_updates
 
     keeping_env = LaneKeepingEnv(config.scenario, config.rewards)
     train_skill(
@@ -160,12 +160,6 @@ def train_hero(
     metric_prefix: str = "hero",
     eval_every: int | None = None,
     eval_episodes: int = 3,
-    num_envs: int | None = None,
-    num_workers: int | None = None,
-    fused_updates: bool | None = None,
-    async_actors: bool | None = None,
-    max_staleness: int | None = None,
-    num_actors: int | None = None,
     checkpoint_path: str | None = None,
 ) -> MetricLogger:
     """Algorithm 1: train the high-level cooperative strategy.
@@ -179,42 +173,20 @@ def train_hero(
     evaluations and logs them as ``{prefix}/eval_*`` — these are the
     exploration-free learning curves Fig. 7 plots.
 
-    ``num_envs > 1`` collects rollouts from that many vectorized
-    environment copies with batched policy inference; updates, logging and
-    evaluation cadence stay per-episode as in the scalar loop.  When the
-    argument is omitted it defaults to ``config.num_envs``.
-
-    ``num_workers > 1`` (default ``config.num_workers``; applies when
-    ``num_envs > 1``) shards the training env copies across worker
-    processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`) —
-    bit-for-bit equal to the single-process engine at the same
-    ``num_envs`` for any worker count.  The interleaved evaluations stay
-    single-process (their env batch is capped at ``eval_episodes``, too
-    small to amortise worker dispatch; the result is identical anyway).
-
-    ``fused_updates`` (default ``config.fused_updates``) routes the
-    gradient phase through a :class:`~repro.core.update_engine.UpdateEngine`
-    over the team: all agents' critics, actors and opponent predictors are
-    updated as three stacked network families — tolerance-equivalent to the
-    per-agent loop, substantially faster (see docs/ARCHITECTURE.md).
-
-    ``async_actors`` (default ``config.async_actors``; needs
-    ``num_envs > 1``) moves the rollout phase into a separate actor
-    process on the async actor–learner stack
-    (:func:`~repro.distributed.actor_learner.train_hero_async`): the
-    actor acts on versioned policy snapshots from a shared-memory
-    parameter server and ships experience back through a transition
-    queue.  ``max_staleness`` (default ``config.max_staleness``) bounds
-    how many collection rounds the actor may run ahead of the newest
-    snapshot — 0 is a lockstep barrier, bitwise identical to the
-    synchronous path; larger values overlap rollout and update and log
-    per-round snapshot staleness.  ``num_actors`` (default
-    ``config.num_actors``) fans the rollout phase out to that many actor
-    processes: under the lockstep barrier results stay bitwise identical
-    at any ``num_actors`` (replicated collection, round-robin
-    attribution); with ``max_staleness > 0`` each actor steps its own env
-    batch on forked RNG streams and collection throughput scales with the
-    actor count.
+    ``config.execution`` (:class:`~repro.config.Execution`) decides how
+    the loop runs.  ``num_envs > 1`` collects rollouts from that many
+    vectorized environment copies with batched policy inference (sharded
+    across ``num_workers`` processes when asked); updates, logging and
+    evaluation cadence stay per-episode as in the scalar loop, and the
+    interleaved evaluations stay single-process (their env batch is capped
+    at ``eval_episodes``).  ``fused_updates`` updates all agents' critics,
+    actors and opponent predictors as three stacked network families
+    (:class:`~repro.core.update_engine.UpdateEngine`).  ``async_actors``
+    moves the rollout phase into actor processes
+    (:func:`~repro.distributed.actor_learner.train_hero_async`) that act on
+    versioned policy snapshots, bounded by ``max_staleness`` and fanned out
+    to ``num_actors``; lockstep (``max_staleness == 0``) is bitwise
+    identical to the synchronous path.
 
     ``checkpoint_path`` (optional) writes the trained team as a versioned
     serving checkpoint (:func:`repro.serving.save_checkpoint`) once
@@ -223,19 +195,8 @@ def train_hero(
     up without the training harness.
     """
     config = config or TrainingConfig()
-    if num_envs is None:
-        num_envs = config.num_envs
-    if num_workers is None:
-        num_workers = config.num_workers
-    if fused_updates is None:
-        fused_updates = config.fused_updates
-    if async_actors is None:
-        async_actors = config.async_actors
-    if max_staleness is None:
-        max_staleness = config.max_staleness
-    if num_actors is None:
-        num_actors = config.num_actors
-    engine = UpdateEngine(team) if fused_updates else None
+    execution = config.execution.resolved()
+    engine = UpdateEngine(team) if execution.fused_updates else None
     update_fn = engine.update if engine is not None else team.update
     logger = logger or MetricLogger()
     rng = np.random.default_rng(config.seed + 12345)
@@ -249,24 +210,15 @@ def train_hero(
     )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
-    if async_actors and num_envs <= 1:
-        warnings.warn(
-            "async_actors needs num_envs > 1 (the actor process steps a "
-            "vectorized env batch); falling back to the synchronous scalar loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        async_actors = False
-    if num_envs > 1:
-        if async_actors:
+    if execution.num_envs > 1:
+        if execution.async_actors:
             from ..distributed.actor_learner import train_hero_async
 
             logger = train_hero_async(
                 env,
                 team,
                 episodes,
-                num_envs=num_envs,
-                num_workers=num_workers,
+                execution=execution,
                 rng=rng,
                 epsilon_schedule=epsilon_schedule,
                 n_updates=n_updates,
@@ -277,16 +229,14 @@ def train_hero(
                 config=config,
                 update_fn=update_fn,
                 engine=engine,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
             )
             return _finish_hero_training(team, env, config, checkpoint_path, logger)
         logger = _train_hero_vectorized(
             env,
             team,
             episodes,
-            num_envs=num_envs,
-            num_workers=num_workers,
+            num_envs=execution.num_envs,
+            num_workers=execution.num_workers,
             rng=rng,
             epsilon_schedule=epsilon_schedule,
             n_updates=n_updates,

@@ -77,6 +77,7 @@ import numpy as np
 
 from ..baselines.base import evaluate_marl_vectorized
 from ..baselines.idqn import IndependentDQN
+from ..config import Execution
 from ..core.batched import BatchedHeroRunner
 from ..core.hero import HeroTeam
 from ..core.options import OptionSet
@@ -370,8 +371,7 @@ def train_hero_async(
     team: HeroTeam,
     episodes: int,
     *,
-    num_envs: int,
-    num_workers: int,
+    execution: Execution,
     rng: np.random.Generator,
     epsilon_schedule,
     n_updates: int,
@@ -382,16 +382,14 @@ def train_hero_async(
     config,
     update_fn,
     engine=None,
-    max_staleness: int = 0,
-    num_actors: int = 1,
 ) -> MetricLogger:
     """Algorithm 1 on the async actor–learner stack.
 
     Same contract as the synchronous ``_train_hero_vectorized`` — at
-    ``max_staleness=0`` the same bits (at any ``num_actors``), at
-    ``max_staleness>0`` overlapped rollout and update with aggregate and
-    per-actor staleness logged per round.  ``num_actors`` fans collection
-    out over that many actor processes (see the module docstring for the
+    ``execution.max_staleness == 0`` the same bits (at any
+    ``num_actors``), above it overlapped rollout and update with aggregate
+    and per-actor staleness logged per round.  ``execution.num_actors``
+    fans collection out over that many actor processes (see the module docstring for the
     replicated-lockstep / partitioned-staleness split).  ``engine`` is
     the :class:`~repro.core.update_engine.UpdateEngine` behind
     ``update_fn`` when fused updates are active; its flat optimizer
@@ -408,10 +406,9 @@ def train_hero_async(
             "async actors require the default OptionSet (custom option sets "
             "hold unpicklable predicates and cannot be shipped to the actor)"
         )
-    if max_staleness < 0:
-        raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
-    if num_actors < 1:
-        raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+    num_envs = execution.num_envs
+    max_staleness = execution.max_staleness
+    num_actors = execution.num_actors
 
     factory = EnvReplicaFactory(
         scenario=env.scenario,
@@ -466,7 +463,7 @@ def train_hero_async(
     shared_spec = {
         "factory": factory,
         "num_envs": num_envs,
-        "num_workers": num_workers,
+        "num_workers": execution.num_workers,
         "num_actors": num_actors,
         "epsilon_schedule": epsilon_schedule,
         "hyper": team.hyper,
@@ -826,26 +823,24 @@ def train_marl_async(
     eval_episodes: int,
     eval_vec_env,
     update_fn,
+    execution: Execution,
     engine=None,
-    max_staleness: int = 0,
-    num_actors: int = 1,
 ) -> MetricLogger:
     """IDQN training on the async actor–learner stack.
 
     Drop-in for ``_train_marl_vectorized_loop`` (same argument roles; the
-    caller keeps ownership of ``eval_vec_env``): each of the ``num_actors``
-    actor processes steps a fresh replica of ``vec_env``'s configuration,
-    the learner replays the shipped transition rows into its own replay
-    buffers and runs the update/logging/eval sequence under the identical
-    episode accounting.  Lockstep fan-out replicates collection (only the
-    round-robin owner ships, so results are bitwise independent of
-    ``num_actors``); staleness fan-out stride-partitions the episode
-    universe across actors for real collection parallelism.
+    caller keeps ownership of ``eval_vec_env``): each of the
+    ``execution.num_actors`` actor processes steps a fresh replica of
+    ``vec_env``'s configuration, the learner replays the shipped
+    transition rows into its own replay buffers and runs the
+    update/logging/eval sequence under the identical episode accounting.
+    Lockstep fan-out replicates collection (only the round-robin owner
+    ships, so results are bitwise independent of ``num_actors``);
+    staleness fan-out stride-partitions the episode universe across
+    actors for real collection parallelism.
     """
-    if max_staleness < 0:
-        raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
-    if num_actors < 1:
-        raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+    max_staleness = execution.max_staleness
+    num_actors = execution.num_actors
     ids = algorithm.agent_ids
     members = [algorithm.q_networks[a].trunk for a in ids]
     impl = getattr(engine, "_impl", None)

@@ -8,7 +8,7 @@ budget; benchmarks default to a small documented fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from ..baselines import (
     train_marl_vectorized,
 )
 from ..config import (
+    Execution,
     PaperHyperparameters,
     RewardConfig,
     ScenarioConfig,
@@ -168,19 +169,11 @@ def train_hero_method(
 ) -> TrainedMethod:
     """Two-stage HERO training (Algorithm 2 then Algorithm 1).
 
-    ``fused_updates`` routes every gradient phase — skill SAC updates and
-    the high-level team update — through the fused
-    :class:`repro.core.update_engine.UpdateEngine` families.
-    ``num_workers > 1`` shards the vectorized rollout batch across worker
-    processes (applies when ``num_envs > 1``).  ``async_actors`` moves the
-    rollout phase to a separate actor process on the async actor–learner
-    stack; ``max_staleness`` bounds how far it may run ahead of the newest
-    policy snapshot (0 = lockstep, bitwise equal to the synchronous path);
-    ``num_actors`` fans collection out to that many actor processes
-    (bitwise invariant under lockstep).
+    The six execution keywords are the fields of
+    :class:`~repro.config.Execution`; they govern both stages (the skills
+    use only ``fused_updates``).
     """
-    config = TrainingConfig(
-        seed=seed,
+    execution = Execution(
         num_envs=num_envs,
         num_workers=num_workers,
         fused_updates=fused_updates,
@@ -188,6 +181,7 @@ def train_hero_method(
         max_staleness=max_staleness,
         num_actors=num_actors,
     )
+    config = TrainingConfig(seed=seed, execution=execution)
     config.scenario = scenario
     config.rewards = rewards
     config.epsilon_start = 0.4
@@ -213,8 +207,6 @@ def train_hero_method(
         config=config,
         updates_per_episode=updates_per_episode,
         metric_prefix=metric_prefix,
-        num_envs=num_envs,
-        num_workers=num_workers,
     )
     # Keep the skill curves available to Fig. 8.
     for name in skill_logger.names():
@@ -253,31 +245,24 @@ def train_baseline_method(
 ) -> TrainedMethod:
     """Train one end-to-end baseline.
 
-    ``num_envs > 1`` collects experience from that many vectorized env
-    copies through the algorithm's batched act/observe interface
-    (:func:`~repro.baselines.base.train_marl_vectorized`), with the
-    interleaved greedy evaluations batched the same way
-    (:func:`~repro.baselines.base.evaluate_marl_vectorized`);
-    ``num_envs == 1`` keeps the scalar loop (the two are metric-identical
-    at one env).  ``num_workers > 1`` shards the vectorized batch across
-    worker processes; the pool is shut down before returning.
-    ``async_actors`` runs the rollouts in a separate actor process (IDQN
-    only; other baselines warn and fall back); ``max_staleness=0`` keeps
-    the run bitwise equal to the synchronous vectorized loop at any
-    ``num_actors`` fan-out.
+    The six execution keywords are the fields of
+    :class:`~repro.config.Execution`.  ``num_envs > 1`` collects
+    experience from that many vectorized env copies (sharded across
+    ``num_workers`` processes; the pool is shut down before returning)
+    through :func:`~repro.baselines.base.train_marl_vectorized`, with the
+    interleaved greedy evaluations batched the same way; ``num_envs == 1``
+    keeps the scalar loop (the two are metric-identical at one env).
     """
+    execution = Execution(
+        num_envs=num_envs,
+        num_workers=num_workers,
+        fused_updates=fused_updates,
+        async_actors=async_actors,
+        max_staleness=max_staleness,
+        num_actors=num_actors,
+    ).resolved()
     env = make_baseline_env(scenario=scenario, rewards=rewards)
     algo = make_baseline(name, env, seed=seed, **baseline_kwargs)
-    if async_actors and num_envs <= 1:
-        import warnings
-
-        warnings.warn(
-            "async_actors needs num_envs > 1 (the actor process steps a "
-            "vectorized env batch); falling back to the synchronous scalar loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        async_actors = False
     if num_envs > 1:
         vec_env = make_baseline_vector_env(
             num_envs, scenario=scenario, rewards=rewards, num_workers=num_workers
@@ -290,10 +275,7 @@ def train_baseline_method(
                 seed=seed,
                 updates_per_episode=updates_per_episode,
                 epsilon_decay_episodes=max(episodes // 2, 1),
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
+                execution=execution,
             )
         finally:
             vec_env.close()
@@ -329,30 +311,18 @@ def train_all_methods(
     methods: list[str] | None = None,
     scenario: ScenarioConfig | None = None,
     skill_scale: float | None = None,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> ExperimentResult:
     """Train HERO and the baselines on the shared scenario.
 
     ``scale=1.0`` reproduces the paper's full 14,000-episode budget;
     benchmark defaults use a small fraction so the suite finishes in
-    minutes (docs/REPRODUCING.md documents the budgets).  ``num_envs > 1``
-    collects every method's rollouts — HERO's and the four baselines' —
-    from that many vectorized env copies with batched policy inference,
-    and batches the interleaved greedy evaluations (the Fig. 7 curves)
-    the same way.  ``num_workers > 1`` additionally shards each method's
-    env batch across that many worker processes
-    (:class:`~repro.envs.sharded_env.ShardedVectorEnv`) — results are
-    bit-for-bit identical at any worker count.  ``async_actors`` runs each
-    supporting method's rollouts in a separate actor process on the async
-    actor–learner stack (``repro.distributed.actor_learner``; HERO and
-    IDQN — the other baselines warn and stay synchronous);
-    ``max_staleness=0`` keeps async runs bitwise equal to synchronous at
-    any ``num_actors`` fan-out.
+    minutes (docs/REPRODUCING.md documents the budgets).  Every method
+    trains under ``execution`` (see :class:`~repro.config.Execution`):
+    with ``num_envs > 1`` the rollouts and the interleaved greedy
+    evaluations (the Fig. 7 curves) of HERO and all four baselines run
+    vectorized; ``async_actors`` applies to HERO and IDQN, and the other
+    baselines warn and stay synchronous.
     """
     methods = methods or METHOD_NAMES
     scenario = scenario or bench_scenario()
@@ -370,31 +340,11 @@ def train_all_methods(
     for name in methods:
         if name == "hero":
             trained = train_hero_method(
-                scenario,
-                rewards,
-                episodes,
-                skill_episodes,
-                seed,
-                num_envs=num_envs,
-                num_workers=num_workers,
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
+                scenario, rewards, episodes, skill_episodes, seed, **asdict(execution)
             )
         else:
             trained = train_baseline_method(
-                name,
-                scenario,
-                rewards,
-                episodes,
-                seed,
-                num_envs=num_envs,
-                num_workers=num_workers,
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
+                name, scenario, rewards, episodes, seed, **asdict(execution)
             )
         result.methods[name] = trained
     return result

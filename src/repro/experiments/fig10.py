@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import Execution
 from .common import ExperimentResult, train_all_methods
 from .reporting import curve_summary, print_learning_curves, shape_check
 
@@ -23,23 +24,13 @@ def run_fig10(
     scale: float = 0.02,
     seed: int = 0,
     result: ExperimentResult | None = None,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> dict:
     result = result or train_all_methods(
         scale=scale,
         seed=seed,
         methods=["hero"],
-        num_envs=num_envs,
-        num_workers=num_workers,
-        fused_updates=fused_updates,
-        async_actors=async_actors,
-        max_staleness=max_staleness,
-        num_actors=num_actors,
+        execution=execution,
     )
     logger = result.methods["hero"].logger
     curves = {}

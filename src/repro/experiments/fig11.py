@@ -9,6 +9,7 @@ Shape targets (paper: HERO highest at ~0.08, MAAC lowest at ~0.048):
 
 from __future__ import annotations
 
+from ..config import Execution
 from ..envs import make_baseline_env
 from .common import ExperimentResult, train_all_methods
 from .reporting import print_metric_table, shape_check
@@ -19,22 +20,12 @@ def run_fig11(
     seed: int = 0,
     eval_episodes: int = 10,
     result: ExperimentResult | None = None,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> dict:
     result = result or train_all_methods(
         scale=scale,
         seed=seed,
-        num_envs=num_envs,
-        num_workers=num_workers,
-        fused_updates=fused_updates,
-        async_actors=async_actors,
-        max_staleness=max_staleness,
-        num_actors=num_actors,
+        execution=execution,
     )
     speeds = {}
     collisions = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import Execution
 from .common import ExperimentResult, train_all_methods
 from .reporting import curve_summary, print_learning_curves, shape_check
 
@@ -27,33 +28,21 @@ def run_fig7(
     scale: float = 0.02,
     seed: int = 0,
     result: ExperimentResult | None = None,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> dict:
     """Train all methods and collect the three Fig. 7 panels.
 
     Curves are the periodic *greedy-evaluation* series (exploration-free),
     matching how learning curves are reported; the raw training-rollout
-    series remain available in each method's logger.  With ``num_envs > 1``
-    both training rollouts and these interleaved evaluations run
-    vectorized (``evaluate_hero_vectorized`` / ``evaluate_marl_vectorized``),
-    so the curves arrive at batched-rollout speed end to end; with
-    ``num_workers > 1`` the env batch additionally steps across that many
-    worker processes.
+    series remain available in each method's logger.  With
+    ``execution.num_envs > 1`` both training rollouts and these interleaved
+    evaluations run vectorized (``evaluate_hero_vectorized`` /
+    ``evaluate_marl_vectorized``).
     """
     result = result or train_all_methods(
         scale=scale,
         seed=seed,
-        num_envs=num_envs,
-        num_workers=num_workers,
-        fused_updates=fused_updates,
-        async_actors=async_actors,
-        max_staleness=max_staleness,
-        num_actors=num_actors,
+        execution=execution,
     )
     panels: dict[str, dict[str, np.ndarray]] = {}
     for panel, (metric, _) in PANELS.items():

@@ -10,7 +10,7 @@ Panels: (a) lane keeping, (b) lane change. Shape targets:
 
 from __future__ import annotations
 
-from ..config import TrainingConfig
+from ..config import Execution, TrainingConfig
 from ..core import train_low_level_skills
 from .common import bench_scenario, episodes_from_scale
 from .reporting import curve_summary, print_learning_curves, shape_check
@@ -19,18 +19,12 @@ from .reporting import curve_summary, print_learning_curves, shape_check
 def run_fig8(
     scale: float = 0.02,
     seed: int = 0,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
 ) -> dict:
-    """``num_envs``/``num_workers``/``async_actors``/``max_staleness`` are
-    accepted for CLI uniformity; skill training is single-agent and stays
-    scalar.  ``fused_updates`` runs the SAC updates through the fused
-    twin-critic/actor engine."""
-    config = TrainingConfig(seed=seed, fused_updates=fused_updates)
+    """Skill training is single-agent and scalar: of ``execution`` it
+    reads only ``fused_updates``, which runs the SAC updates through the
+    fused twin-critic/actor engine."""
+    config = TrainingConfig(seed=seed, execution=execution)
     config.scenario = bench_scenario()
     episodes = episodes_from_scale(scale)
     _, logger = train_low_level_skills(config, episodes=episodes)

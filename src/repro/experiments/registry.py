@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..config import Execution
 from ..nn.tensor import default_dtype
 from . import fig7, fig8, fig10, fig11, table2
 
@@ -68,38 +69,22 @@ def run_experiment(
     exp_id: str,
     scale: float = 0.02,
     seed: int = 0,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
     checkpoint_dir: str | None = None,
     dtype: str = "float64",
 ) -> dict:
     """Run one experiment end to end and print its report.
 
-    ``num_envs > 1`` collects every method's training rollouts — HERO's
-    and the four baselines' — from that many vectorized environment copies
-    and batches the interleaved greedy evaluations the same way (see
-    ``repro.envs.vector_env`` and docs/REPRODUCING.md).  ``num_workers >
-    1`` shards those env copies across worker processes
-    (``repro.envs.sharded_env``) — bit-for-bit identical results at any
-    worker count.  ``fused_updates`` batches every method's gradient
-    phase through ``repro.core.update_engine`` (tolerance-equivalent, not
-    bitwise).  ``async_actors`` runs rollouts in a separate actor process
-    on the async actor–learner stack (``repro.distributed.actor_learner``;
-    HERO and IDQN), with ``max_staleness`` bounding how far the actor may
-    run ahead of the newest policy snapshot (0 = lockstep, bitwise equal
-    to the synchronous path) and ``num_actors`` fanning collection out to
-    that many actor processes (bitwise invariant under lockstep).  ``checkpoint_dir`` persists each trained
-    method as a serving checkpoint and reloads instead of retraining when
-    the directory is already complete (table2 only — the figure harnesses
-    report training curves, which a checkpoint does not carry).
-    ``dtype`` selects the floating-point compute precision for the whole
-    run ("float64" | "float32"): the default is bitwise-identical to the
-    original implementation; float32 speeds the BLAS-bound update phase
-    and halves every payload under the tolerance contract documented in
+    ``execution`` (:class:`~repro.config.Execution`) says how every
+    method's training runs: env batch, sharding, fused updates and async
+    actors.  ``checkpoint_dir`` persists each trained method as a serving
+    checkpoint and reloads instead of retraining when the directory is
+    already complete (table2 only — the figure harnesses report training
+    curves, which a checkpoint does not carry).  ``dtype`` selects the
+    floating-point compute precision for the whole run ("float64" |
+    "float32"): the default is bitwise-identical to the original
+    implementation; float32 speeds the BLAS-bound update phase and halves
+    every payload under the tolerance contract documented in
     docs/ARCHITECTURE.md ("Precision").  Env physics stays float64 at
     either setting.
     """
@@ -117,15 +102,7 @@ def run_experiment(
     # dtype at construction, so one process-global scope covers the run.
     with default_dtype(dtype):
         outputs = experiment.run(
-            scale=scale,
-            seed=seed,
-            num_envs=num_envs,
-            num_workers=num_workers,
-            fused_updates=fused_updates,
-            async_actors=async_actors,
-            max_staleness=max_staleness,
-            num_actors=num_actors,
-            **extra_kwargs,
+            scale=scale, seed=seed, execution=execution, **extra_kwargs
         )
         experiment.report(outputs)
     return outputs

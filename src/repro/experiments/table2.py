@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from ..config import TestbedConfig
+from ..config import Execution, TestbedConfig
 from ..envs import (
     CooperativeLaneChangeEnv,
     DiscreteActionWrapper,
@@ -105,20 +105,14 @@ def run_table2(
     seed: int = 0,
     eval_episodes: int = 20,
     result: ExperimentResult | None = None,
-    num_envs: int = 1,
-    num_workers: int = 1,
-    fused_updates: bool = False,
-    async_actors: bool = False,
-    max_staleness: int = 0,
-    num_actors: int = 1,
+    execution: Execution = Execution(),
     checkpoint_dir: str | None = None,
 ) -> dict:
-    """Train all methods (vectorized when ``num_envs > 1``, sharded across
-    worker processes when ``num_workers > 1``, including the interleaved
-    greedy evaluations) and score each on the domain-shifted testbed.
+    """Train all methods under ``execution`` and score each on the
+    domain-shifted testbed.
 
     The final Table 2 evaluation itself stays scalar regardless of
-    ``num_envs``: :class:`~repro.envs.testbed.RealWorldTestbed` injects
+    ``execution.num_envs``: :class:`~repro.envs.testbed.RealWorldTestbed` injects
     per-step sensor noise and actuation delay that the stacked
     ``VectorEnv`` kernels cannot express, so these 20 episodes step one
     env at a time (they are a trivial fraction of the sweep's runtime —
@@ -136,12 +130,7 @@ def run_table2(
     result = result or train_all_methods(
         scale=scale,
         seed=seed,
-        num_envs=num_envs,
-        num_workers=num_workers,
-        fused_updates=fused_updates,
-        async_actors=async_actors,
-        max_staleness=max_staleness,
-        num_actors=num_actors,
+        execution=execution,
     )
     if freshly_trained and checkpoint_dir is not None:
         _persist_methods(result, checkpoint_dir)

@@ -396,6 +396,12 @@ class PolicyServer:
         """Stop, drain queued requests, and tear down the socket front-end."""
         self.request_stop()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -17,7 +17,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import ParameterServer, ShmRingQueue, actor_learner
 from repro.envs import CooperativeLaneChangeEnv
@@ -87,21 +87,14 @@ def test_killed_actor_is_named_and_run_cleans_up(monkeypatch, factory_cls):
     _SEGMENTS.clear()
     before = {proc.pid for proc in mp.active_children()}
 
-    config = TrainingConfig(seed=0)
+    config = TrainingConfig(
+        seed=0, execution=Execution(num_envs=2, async_actors=True, num_actors=2)
+    )
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
     with pytest.raises(RuntimeError, match=_VICTIM):
-        train_hero(
-            env,
-            team,
-            episodes=3,
-            config=config,
-            num_envs=2,
-            eval_every=0,
-            async_actors=True,
-            num_actors=2,
-        )
+        train_hero(env, team, episodes=3, config=config, eval_every=0)
 
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "failed fan-out run leaked processes"

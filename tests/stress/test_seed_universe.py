@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_baseline, train_marl_vectorized
-from repro.config import ScenarioConfig
+from repro.config import Execution, ScenarioConfig
 from repro.distributed.actor_learner import _idqn_episode_plan
 from repro.envs import make_baseline_vector_env
 from repro.utils.seeding import episode_partition, episode_reset_seeds
@@ -105,9 +105,9 @@ def test_idqn_staleness_run_logs_each_episode_once(num_actors):
             episodes=4,
             seed=5,
             eval_every=0,
-            async_actors=True,
-            max_staleness=2,
-            num_actors=num_actors,
+            execution=Execution(
+                num_envs=2, async_actors=True, max_staleness=2, num_actors=num_actors
+            ),
         )
     finally:
         vec_env.close()

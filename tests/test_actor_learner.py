@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_baseline, train_marl_vectorized
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import ParameterServer, ShmRingQueue
 from repro.distributed import actor_learner
@@ -47,7 +47,14 @@ def _hero_run(
     max_staleness: int = 0,
     num_actors: int = 1,
 ):
-    config = TrainingConfig(seed=0)
+    execution = Execution(
+        num_envs=2,
+        fused_updates=fused,
+        async_actors=async_actors,
+        max_staleness=max_staleness,
+        num_actors=num_actors,
+    )
+    config = TrainingConfig(seed=0, execution=execution)
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
@@ -56,13 +63,8 @@ def _hero_run(
         team,
         episodes=3,
         config=config,
-        num_envs=2,
         eval_every=2,
         eval_episodes=2,
-        fused_updates=fused,
-        async_actors=async_actors,
-        max_staleness=max_staleness,
-        num_actors=num_actors,
     )
     return logger, team
 
@@ -84,10 +86,13 @@ def _idqn_run(
             seed=5,
             eval_every=2,
             eval_episodes=2,
-            fused_updates=fused,
-            async_actors=async_actors,
-            max_staleness=max_staleness,
-            num_actors=num_actors,
+            execution=Execution(
+                num_envs=2,
+                fused_updates=fused,
+                async_actors=async_actors,
+                max_staleness=max_staleness,
+                num_actors=num_actors,
+            ),
         )
     finally:
         vec_env.close()
@@ -151,7 +156,12 @@ def test_non_idqn_baseline_falls_back_with_warning():
     try:
         with pytest.warns(RuntimeWarning, match="IDQN only"):
             train_marl_vectorized(
-                vec_env, algo, episodes=1, seed=5, eval_every=0, async_actors=True
+                vec_env,
+                algo,
+                episodes=1,
+                seed=5,
+                eval_every=0,
+                execution=Execution(num_envs=2, async_actors=True),
             )
     finally:
         vec_env.close()
@@ -160,18 +170,12 @@ def test_non_idqn_baseline_falls_back_with_warning():
 def test_hero_scalar_loop_falls_back_with_warning():
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    config = TrainingConfig(seed=0)
+    config = TrainingConfig(
+        seed=0, execution=Execution(num_envs=1, async_actors=True)
+    )
     config.scenario = SCENARIO
     with pytest.warns(RuntimeWarning, match="num_envs > 1"):
-        train_hero(
-            env,
-            team,
-            episodes=1,
-            config=config,
-            num_envs=1,
-            eval_every=0,
-            async_actors=True,
-        )
+        train_hero(env, team, episodes=1, config=config, eval_every=0)
 
 
 # ----------------------------------------------------------------------
@@ -326,20 +330,13 @@ class _ExplodingFactory:
 def test_actor_crash_names_failing_shard(monkeypatch):
     monkeypatch.setattr(actor_learner, "EnvReplicaFactory", _ExplodingFactory)
     before = {proc.pid for proc in mp.active_children()}
-    config = TrainingConfig(seed=0)
+    config = TrainingConfig(
+        seed=0, execution=Execution(num_envs=4, num_workers=2, async_actors=True)
+    )
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
     with pytest.raises(RuntimeError, match=r"envs \[0, 2\).*injected failure"):
-        train_hero(
-            env,
-            team,
-            episodes=3,
-            config=config,
-            num_envs=4,
-            num_workers=2,
-            eval_every=0,
-            async_actors=True,
-        )
+        train_hero(env, team, episodes=3, config=config, eval_every=0)
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "failed async run leaked processes"

@@ -54,11 +54,21 @@ def make_pair(name, num_envs, seed=3):
 class TestSeedEquivalence:
     """num_envs=1 vectorized training == scalar training, bit for bit."""
 
-    @pytest.mark.parametrize("name", ALL)
-    def test_metrics_identical_to_scalar_loop(self, name):
+    @pytest.mark.parametrize(
+        "name, updates_per_episode",
+        [pytest.param(name, 1, id=name) for name in ALL]
+        + [pytest.param("idqn", 0, id="idqn-no-updates")],
+    )
+    def test_metrics_identical_to_scalar_loop(self, name, updates_per_episode):
         env, vec, (algo_scalar, algo_vec) = make_pair(name, num_envs=1)
-        log_scalar = train_marl(env, algo_scalar, episodes=5, seed=7)
-        log_vec = train_marl_vectorized(vec, algo_vec, episodes=5, seed=7)
+        log_scalar = train_marl(
+            env, algo_scalar, episodes=5, seed=7,
+            updates_per_episode=updates_per_episode,
+        )
+        log_vec = train_marl_vectorized(
+            vec, algo_vec, episodes=5, seed=7,
+            updates_per_episode=updates_per_episode,
+        )
         assert log_scalar.names() == log_vec.names()
         for metric in log_scalar.names():
             np.testing.assert_array_equal(

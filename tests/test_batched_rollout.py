@@ -4,13 +4,13 @@ Covers the no-grad inference kernels (``MLP.infer`` & friends must be
 bit-identical to the autograd forward), the
 :class:`~repro.core.batched.BatchedHeroRunner` option machinery, the
 :class:`~repro.core.trainer.BatchedRolloutWorker`, and
-``train_hero(..., num_envs=N)`` end to end.
+``train_hero`` with ``Execution(num_envs=N)`` end to end.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import (
     BatchedHeroRunner,
     BatchedRolloutWorker,
@@ -203,7 +203,7 @@ class TestBatchedRolloutWorker:
 
 class TestTrainHeroVectorized:
     def test_train_hero_num_envs_runs_and_logs(self):
-        config = TrainingConfig(seed=0, num_envs=4)
+        config = TrainingConfig(seed=0, execution=Execution(num_envs=4))
         config.scenario = small_scenario()
         env = CooperativeLaneChangeEnv(scenario=config.scenario)
         team = HeroTeam(env, np.random.default_rng(0), batch_size=8)
@@ -212,7 +212,6 @@ class TestTrainHeroVectorized:
             team,
             episodes=6,
             config=config,
-            num_envs=config.num_envs,
             eval_every=3,
             eval_episodes=1,
         )
@@ -229,12 +228,12 @@ class TestTrainHeroVectorized:
         class CustomEnv(CooperativeLaneChangeEnv):
             pass
 
-        config = TrainingConfig(seed=0)
+        config = TrainingConfig(seed=0, execution=Execution(num_envs=2))
         config.scenario = small_scenario()
         env = CustomEnv(scenario=config.scenario)
         team = HeroTeam(env, np.random.default_rng(0), batch_size=8)
         with pytest.raises(ValueError, match="CustomEnv"):
-            train_hero(env, team, episodes=2, config=config, num_envs=2)
+            train_hero(env, team, episodes=2, config=config)
 
     def test_custom_scripted_policy_is_replicated(self, monkeypatch):
         """The caller's traffic must reach the vectorized envs (via the
@@ -256,24 +255,22 @@ class TestTrainHeroVectorized:
             return vec
 
         monkeypatch.setattr(trainer_module, "VectorEnv", recording_vector_env)
-        config = TrainingConfig(seed=0)
+        config = TrainingConfig(seed=0, execution=Execution(num_envs=2))
         config.scenario = small_scenario()
         policy = CustomPolicy()
         env = CooperativeLaneChangeEnv(
             scenario=config.scenario, scripted_policy=policy
         )
         team = HeroTeam(env, np.random.default_rng(0), batch_size=8)
-        logger = train_hero(
-            env, team, episodes=2, config=config, num_envs=2, eval_every=0
-        )
+        logger = train_hero(env, team, episodes=2, config=config, eval_every=0)
         assert len(logger.values("hero/episode_reward")) == 2
         (vec,) = built
         assert not vec.fast_path  # custom traffic -> scalar fallback
         assert all(e._scripted_policy is policy for e in vec.envs)
 
     def test_num_envs_defaults_from_config(self, monkeypatch):
-        """train_hero must honour TrainingConfig.num_envs when the kwarg
-        is omitted (the config field must not be write-only)."""
+        """train_hero must honour TrainingConfig.execution.num_envs (the
+        spec must not be write-only)."""
         import repro.core.trainer as trainer_module
 
         built = []
@@ -284,7 +281,7 @@ class TestTrainHeroVectorized:
             return original(num_envs, **kwargs)
 
         monkeypatch.setattr(trainer_module, "VectorEnv", recording_vector_env)
-        config = TrainingConfig(seed=0, num_envs=2)
+        config = TrainingConfig(seed=0, execution=Execution(num_envs=2))
         config.scenario = small_scenario()
         env = CooperativeLaneChangeEnv(scenario=config.scenario)
         team = HeroTeam(env, np.random.default_rng(0), batch_size=8)

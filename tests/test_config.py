@@ -6,6 +6,7 @@ import pytest
 from repro.config import (
     ACCELERATE_BOUNDS,
     LANE_CHANGE_BOUNDS,
+    Execution,
     PaperHyperparameters,
     RewardConfig,
     ScenarioConfig,
@@ -116,3 +117,49 @@ class TestTrainingConfig:
         config = TrainingConfig()
         config.epsilon_start = 0.4
         assert config.epsilon_start == 0.4
+
+    def test_execution_defaults_to_the_scalar_loop(self):
+        assert TrainingConfig().execution == Execution(
+            num_envs=1,
+            num_workers=1,
+            fused_updates=False,
+            async_actors=False,
+            max_staleness=0,
+            num_actors=1,
+        )
+
+    def test_has_no_dtype_field(self):
+        """The compute dtype is a process scope, not a config field that
+        would be accepted and then ignored."""
+        with pytest.raises(TypeError, match="dtype"):
+            TrainingConfig(dtype="float32")
+
+
+class TestExecution:
+    def test_frozen(self):
+        with pytest.raises(Exception):
+            Execution().num_envs = 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_envs", 0),
+            ("num_workers", 0),
+            ("num_actors", 0),
+            ("max_staleness", -1),
+        ],
+    )
+    def test_invalid_field_names_itself(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= "):
+            Execution(**{field: value})
+
+    def test_resolved_keeps_a_runnable_spec(self):
+        spec = Execution(num_envs=2, async_actors=True, max_staleness=1)
+        assert spec.resolved() is spec
+        assert Execution().resolved() == Execution()
+
+    def test_async_without_env_batch_falls_back_with_warning(self):
+        spec = Execution(async_actors=True, max_staleness=2, num_actors=3)
+        with pytest.warns(RuntimeWarning, match="num_envs > 1"):
+            resolved = spec.resolved()
+        assert resolved == Execution(max_staleness=2, num_actors=3)

@@ -18,7 +18,9 @@ The contract under test:
 """
 
 import os
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -501,6 +503,25 @@ def test_socket_roundtrip_matches_in_process(tmp_path):
                 c.close()
 
 
+@pytest.mark.parametrize("wake_accept", [False, True], ids=["idle", "wake-connect"])
+def test_close_after_serve_returns_promptly(tmp_path, wake_accept):
+    """close() must wake the accept thread itself, not wait out its join
+    timeout; a caller that first wakes accept() with a throwaway
+    connection after request_stop() must keep working too."""
+    team = fresh_team(scenario=small_scenario())
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team, scenario=team.env.scenario)
+    srv = PolicyServer(load_policy(path), num_slots=1)
+    host, port = srv.serve()
+    if wake_accept:
+        srv.request_stop()
+        socket.create_connection((host, port)).close()
+    start = time.perf_counter()
+    srv.close()
+    assert time.perf_counter() - start < 1.0
+    assert not srv._accept_thread.is_alive()
+
+
 # ---------------------------------------------------------------------------
 # TrainedMethod persistence + table2 plumbing
 # ---------------------------------------------------------------------------
@@ -556,7 +577,7 @@ def test_public_surface_exports():
 
     for name in (
         "load_policy", "save_checkpoint", "load_checkpoint", "PolicyServer",
-        "PolicyClient", "MicroBatcher", "TrainingConfig", "train_hero",
+        "PolicyClient", "MicroBatcher", "TrainingConfig", "Execution", "train_hero",
         "HeroTeam", "make_baseline",
     ):
         assert name in repro.__all__

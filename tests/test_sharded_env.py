@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_baseline, train_marl_vectorized
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.core.trainer import evaluate_hero_vectorized
 from repro.envs import (
@@ -160,7 +160,9 @@ def test_interface_metadata_matches_template():
 # Training / evaluation equivalence through the engine
 # ----------------------------------------------------------------------
 def _train_hero_logger(num_workers: int):
-    config = TrainingConfig(seed=0)
+    config = TrainingConfig(
+        seed=0, execution=Execution(num_envs=2, num_workers=num_workers)
+    )
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
@@ -169,8 +171,6 @@ def _train_hero_logger(num_workers: int):
         team,
         episodes=3,
         config=config,
-        num_envs=2,
-        num_workers=num_workers,
         eval_every=2,
         eval_episodes=2,
     )
@@ -178,7 +178,7 @@ def _train_hero_logger(num_workers: int):
 
 
 def test_train_hero_sharded_matches_single_process():
-    """train_hero(num_envs=2) is bit-for-bit identical at W=2 and W=1."""
+    """train_hero at num_envs=2 is bit-for-bit identical at W=2 and W=1."""
     log_single, _ = _train_hero_logger(num_workers=1)
     log_sharded, _ = _train_hero_logger(num_workers=2)
     assert log_single.names() == log_sharded.names()
@@ -247,10 +247,10 @@ def test_train_hero_warns_on_scalar_fallback():
     """The vectorized HERO loop must say why --num-envs is not helping."""
     env = CooperativeLaneChangeEnv(scenario=SCENARIO, scripted_policy=_CrawlPolicy())
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    config = TrainingConfig(seed=0)
+    config = TrainingConfig(seed=0, execution=Execution(num_envs=2))
     config.scenario = SCENARIO
     with pytest.warns(RuntimeWarning, match="scalar fallback"):
-        train_hero(env, team, episodes=1, config=config, num_envs=2, eval_every=0)
+        train_hero(env, team, episodes=1, config=config, eval_every=0)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_baseline, train_marl
-from repro.config import ScenarioConfig, TrainingConfig
+from repro.config import Execution, ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, UpdateEngine, train_hero
 from repro.core.low_level import SACAgent
 from repro.core.update_engine import FamilyAdam, StackedMLP
@@ -654,7 +654,9 @@ class TestFusedTrainingEndToEnd:
     def test_hero_few_episodes(self):
         def run(fused):
             scenario = ScenarioConfig(episode_length=10)
-            config = TrainingConfig(seed=3, fused_updates=fused)
+            config = TrainingConfig(
+                seed=3, execution=Execution(fused_updates=fused)
+            )
             config.scenario = scenario
             env = CooperativeLaneChangeEnv(scenario=scenario)
             team = HeroTeam(env, RNG(3), batch_size=16)
@@ -746,7 +748,9 @@ class TestFusedTrainingEndToEnd:
         """train_low_level_skills(fused) matches the default within tolerance."""
 
         def run(fused):
-            config = TrainingConfig(seed=1, fused_updates=fused)
+            config = TrainingConfig(
+                seed=1, execution=Execution(fused_updates=fused)
+            )
             config.scenario = ScenarioConfig(episode_length=10)
             skills, logger = train_low_level_skills(config, episodes=2)
             return skills.state_dict(), logger

@@ -136,6 +136,42 @@ class TestCLI:
         assert main(["watch", "--seed", "1", "--every", "10"]) == 0
         assert "step 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-staleness", "-1"), ("--num-actors", "0")]
+    )
+    @pytest.mark.parametrize("command", [["run", "fig8"], ["run-all"]])
+    def test_invalid_execution_flag_exits_before_training(
+        self, monkeypatch, capsys, command, flag, value
+    ):
+        import repro.experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started despite an invalid flag")
+
+        monkeypatch.setattr(repro.experiments, "run_experiment", no_training)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag, value])
+        assert exit_info.value.code == 2
+        field = flag.lstrip("-").replace("-", "_")
+        assert f"{field} must be >=" in capsys.readouterr().err
+
+    def test_execution_flags_build_one_spec(self, monkeypatch):
+        import repro.experiments
+        from repro.config import Execution
+
+        calls = []
+        monkeypatch.setattr(
+            repro.experiments,
+            "run_experiment",
+            lambda exp_id, **kwargs: calls.append(kwargs["execution"]),
+        )
+        argv = ["--num-envs", "4", "--fused-updates", "--max-staleness", "1"]
+        assert main(["run", "fig8", *argv]) == 0
+        assert calls == [Execution(num_envs=4, fused_updates=True, max_staleness=1)]
+        calls.clear()
+        assert main(["run-all"]) == 0
+        assert calls and all(spec == Execution() for spec in calls)
+
     def test_run_fig8_tiny(self, capsys):
         assert main(["run", "fig8", "--scale", "0.001"]) == 0
         out = capsys.readouterr().out
