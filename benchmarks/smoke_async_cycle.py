@@ -9,9 +9,9 @@ contract:
 * lockstep (``max_staleness=0``): the async run must log metric series
   **bit-for-bit identical** to the synchronous vectorized loop, for the
   plain and the fused-update gradient paths;
-* staleness mode (``--max-staleness > 0``): the run must complete the
-  full episode budget and log a ``snapshot_staleness`` series bounded by
-  the budget.
+* staleness mode (``--max-staleness > 0``): the run must log every
+  episode of the budget exactly once, in episode order, and a
+  ``snapshot_staleness`` series bounded by the budget.
 
 Usage::
 
@@ -140,7 +140,8 @@ def check_lockstep(
 def check_staleness(
     train, name: str, prefix: str, episodes, num_envs, seed, budget: int, num_actors
 ) -> None:
-    """Staleness mode must finish the budget and log bounded staleness."""
+    """Staleness mode must log each budget episode once, in order, and
+    bounded staleness."""
     logger = train(
         episodes,
         num_envs,
@@ -149,11 +150,11 @@ def check_staleness(
         max_staleness=budget,
         num_actors=num_actors,
     )
-    recorded = logger.values(f"{prefix}/episode_reward").size
-    if recorded != episodes:
+    recorded = logger.steps(f"{prefix}/episode_reward")
+    if not np.array_equal(recorded, np.arange(episodes)):
         raise SystemExit(
-            f"{name}: staleness run logged {recorded} episodes, "
-            f"expected {episodes}"
+            f"{name}: staleness run logged episodes {recorded.tolist()}, "
+            f"expected each of 0..{episodes - 1} once, in order"
         )
     staleness = logger.values(f"{prefix}/snapshot_staleness")
     if staleness.size == 0:

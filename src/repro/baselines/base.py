@@ -8,14 +8,20 @@ the paper comes precisely from not having to learn in that flat space.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 
 from ..config import Execution
-from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
+from ..utils.logging_utils import (
+    MetricLogger,
+    episode_metrics,
+    eval_metrics,
+    summarise_eval_episodes,
+)
 from ..utils.schedule import LinearSchedule
-from ..utils.seeding import episode_reset_seeds
+from ..utils.seeding import episode_partition, episode_reset_seeds
 
 
 def _resolve_update_fn(algorithm: "MARLAlgorithm", fused_updates: bool):
@@ -261,33 +267,16 @@ def train_marl(
         for _ in range(updates_per_episode):
             losses = update_fn()
 
-        summary = info["episode"]
-        logger.log_many(
-            {
-                f"{prefix}/episode_reward": summary["episode_reward"],
-                f"{prefix}/collision_rate": summary["collision"],
-                f"{prefix}/merge_success_rate": summary["merge_success_rate"],
-                f"{prefix}/mean_speed": summary["mean_speed"],
-            },
-            episode,
-        )
+        logger.log_many(episode_metrics(prefix, info["episode"]), episode)
         if losses:
             for name, value in losses.items():
                 logger.log(f"{prefix}/{name}", value, episode)
 
         if eval_every and (episode % eval_every == 0 or episode == episodes - 1):
-            eval_metrics = evaluate_marl(
+            result = evaluate_marl(
                 env, algorithm, episodes=eval_episodes, seed=seed + 500 + episode
             )
-            logger.log_many(
-                {
-                    f"{prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-                    f"{prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-                    f"{prefix}/eval_merge_success_rate": eval_metrics["success_rate"],
-                    f"{prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-                },
-                episode,
-            )
+            logger.log_many(eval_metrics(prefix, result), episode)
     return logger
 
 
@@ -331,9 +320,10 @@ def train_marl_vectorized(
 
     ``execution`` supplies ``fused_updates`` and the async collection
     settings; the env batch itself (its size and sharding) is ``vec_env``.
-    ``async_actors`` moves the rollout phase into actor processes on the
-    async actor–learner stack
-    (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
+    Collection is a :class:`MarlRolloutWorker`; ``async_actors`` moves it
+    into actor processes on the async actor–learner stack
+    (:func:`~repro.distributed.actor_learner.train_marl_async`), feeding
+    the same learner (:func:`_learn_marl`) shipped rows; only IDQN
     supports it (other baselines fall back to this synchronous loop with a
     warning — their recurrent update/rollout coupling has no capture-replay
     protocol yet).  ``max_staleness=0`` is a lockstep barrier, bitwise
@@ -387,6 +377,20 @@ def train_marl_vectorized(
             stacklevel=2,
         )
 
+    learn = functools.partial(
+        _learn_marl,
+        algorithm=algorithm,
+        episodes=episodes,
+        seed=seed,
+        epsilon_schedule=epsilon_schedule,
+        updates_per_episode=updates_per_episode,
+        logger=logger,
+        prefix=prefix,
+        eval_every=eval_every,
+        eval_episodes=eval_episodes,
+        eval_vec_env=eval_vec_env,
+        update_fn=update_fn,
+    )
     try:
         if async_actors:
             from ..distributed.actor_learner import train_marl_async
@@ -397,37 +401,128 @@ def train_marl_vectorized(
                 episodes,
                 seed,
                 epsilon_schedule,
-                updates_per_episode,
                 logger,
                 prefix,
-                eval_every,
-                eval_episodes,
-                eval_vec_env,
-                update_fn,
+                learn,
                 execution,
                 engine=engine,
             )
-        return _train_marl_vectorized_loop(
-            vec_env,
-            algorithm,
-            episodes,
-            seed,
-            epsilon_schedule,
-            updates_per_episode,
-            logger,
-            prefix,
-            eval_every,
-            eval_episodes,
-            eval_vec_env,
-            update_fn,
-        )
+        worker = MarlRolloutWorker(vec_env, algorithm, episodes, seed, epsilon_schedule)
+        return learn(lambda: [worker.step()])
     finally:
         if eval_vec_env is not None:
             eval_vec_env.close()
 
 
-def _train_marl_vectorized_loop(
-    vec_env,
+def _idqn_episode_plan(episodes: int, n: int, num_actors: int, actor: int):
+    """The episode universe and one actor's walk through it.
+
+    Returns ``(universe, my_episodes)``: the size of the
+    :func:`episode_reset_seeds` universe and the (global) episode indices
+    this actor walks, in start order.  The universe is padded so every
+    actor can seed its initial batch of ``n`` envs; indices at or beyond
+    ``episodes`` are warm-up/overflow episodes that are stepped but never
+    counted.  At ``num_actors=1`` this is the ``max(episodes, n)``
+    universe walked in order.
+    """
+    universe = max(episodes, n * num_actors)
+    return universe, episode_partition(universe, num_actors, actor)
+
+
+class MarlRolloutWorker:
+    """Steps a ``VectorBaselineEnv`` under the per-env episode plan.
+
+    The baselines' counterpart of
+    :class:`~repro.core.trainer.BatchedRolloutWorker`.  Env ``i`` always
+    runs one episode index of the plan (:func:`_idqn_episode_plan`), whose
+    reset seed and exploration epsilon come from the same per-episode
+    streams as the scalar loop; a finished env is handed the plan's next
+    episode (seeded), or idles on the auto-reset rollout once the plan is
+    exhausted.  ``num_actors``/``actor`` select one actor's stride of the
+    episode universe (partitioned async collection); the default walks
+    the whole universe, as the synchronous loop does.
+
+    Each :meth:`step` advances every env once and returns one row:
+    ``obs``, ``actions``, ``rewards``, ``next_obs`` (terminal observations
+    substituted for finished envs), ``dones``, and per finished env, in
+    env order, the episode index it was running (``episodes``) and its
+    summary (``summaries``).
+    """
+
+    def __init__(
+        self,
+        vec_env,
+        algorithm: MARLAlgorithm,
+        episodes: int,
+        seed: int,
+        epsilon_schedule,
+        num_actors: int = 1,
+        actor: int = 0,
+    ):
+        self.vec_env = vec_env
+        self.algorithm = algorithm
+        self.episodes = episodes
+        self.epsilon_schedule = epsilon_schedule
+        n = vec_env.num_envs
+        universe, self._plan = _idqn_episode_plan(episodes, n, num_actors, actor)
+        self._reset_seeds = episode_reset_seeds(seed, universe)
+        self._episode_of_env = self._plan[:n].copy()
+        self._next_slot = n
+        # Budget episodes of this plan that have not finished yet.
+        self.budget_left = int((self._plan < episodes).sum())
+        self._obs = vec_env.reset(
+            seeds=[int(self._reset_seeds[e]) for e in self._episode_of_env]
+        )
+
+    def step(self) -> dict:
+        algorithm = self.algorithm
+        if hasattr(algorithm, "epsilon"):
+            eps = np.array(
+                [
+                    self.epsilon_schedule(min(int(e), self.episodes - 1))
+                    for e in self._episode_of_env
+                ]
+            )
+            algorithm.epsilon = float(eps[0]) if len(eps) == 1 else eps
+        obs = self._obs
+        actions = algorithm.act_batch(obs, explore=True)
+        next_obs, rewards, dones, infos = self.vec_env.step(actions)
+        finished = np.flatnonzero(dones)
+        observed_next = next_obs
+        if finished.size:
+            # Done rows already hold the auto-reset observation; the stored
+            # transition must see the terminal one, as the scalar loop does.
+            observed_next = next_obs.copy()
+            for i in finished:
+                observed_next[i] = infos[i]["terminal_observation"]
+        row = {
+            "obs": obs,
+            "actions": actions,
+            "rewards": np.array(rewards, copy=True),
+            "next_obs": observed_next,
+            "dones": np.array(dones, copy=True),
+            "episodes": [int(self._episode_of_env[i]) for i in finished],
+            "summaries": [infos[i]["episode"] for i in finished],
+        }
+        for i in finished:
+            if self._episode_of_env[i] < self.episodes:
+                self.budget_left -= 1
+            if self._next_slot < len(self._plan):
+                episode = int(self._plan[self._next_slot])
+                self._episode_of_env[i] = episode
+                next_obs[i] = self.vec_env.reset_env(
+                    i, seed=int(self._reset_seeds[episode])
+                )
+            else:
+                self._episode_of_env[i] = self.episodes  # never counted
+            self._next_slot += 1
+        self._obs = next_obs
+        return row
+
+
+def _learn_marl(
+    collect,
+    *,
     algorithm: MARLAlgorithm,
     episodes: int,
     seed: int,
@@ -440,91 +535,47 @@ def _train_marl_vectorized_loop(
     eval_vec_env,
     update_fn,
 ) -> MetricLogger:
-    """The rollout/update/logging loop of :func:`train_marl_vectorized`."""
-    n = vec_env.num_envs
-    reset_seeds = episode_reset_seeds(seed, max(episodes, n))
-    episode_of_env = np.arange(n)
-    next_to_start = n
-    obs = vec_env.reset(seeds=[int(reset_seeds[e]) for e in episode_of_env])
+    """The learner of :func:`train_marl_vectorized`, fed by any row source.
 
-    # Completed episodes are logged strictly in episode-index order so the
-    # recorded series are directly comparable with the scalar loop's.
+    ``collect()`` returns the next :meth:`MarlRolloutWorker.step` rows —
+    one local step, or one round shipped by async actors.  Each row is
+    observed; each finished env runs ``end_episode`` and, if its episode
+    is in the budget, the update budget and (on the eval cadence) a
+    greedy evaluation.  Completed episodes are logged strictly in
+    episode-index order so the series match the scalar loop's.
+    """
     pending: dict[int, dict] = {}
     next_to_log = 0
     while next_to_log < episodes:
-        eps = np.array(
-            [epsilon_schedule(min(int(e), episodes - 1)) for e in episode_of_env]
-        )
-        if hasattr(algorithm, "epsilon"):
-            algorithm.epsilon = float(eps[0]) if n == 1 else eps
-        actions = algorithm.act_batch(obs, explore=True)
-        next_obs, rewards, dones, infos = vec_env.step(actions)
-        observed_next = next_obs
-        if dones.any():
-            # Done rows already hold the auto-reset observation; the stored
-            # transition must see the terminal one, as the scalar loop does.
-            observed_next = next_obs.copy()
-            for i in np.flatnonzero(dones):
-                observed_next[i] = infos[i]["terminal_observation"]
-        algorithm.observe_batch(obs, actions, rewards, observed_next, dones)
-        obs = next_obs
-
-        for i in np.flatnonzero(dones):
-            episode = int(episode_of_env[i])
-            algorithm.end_episode()
-            if episode < episodes:
+        for row in collect():
+            algorithm.observe_batch(
+                row["obs"], row["actions"], row["rewards"], row["next_obs"], row["dones"]
+            )
+            for episode, summary in zip(row["episodes"], row["summaries"]):
+                algorithm.end_episode()
+                if episode >= episodes:
+                    continue
                 losses = None
                 for _ in range(updates_per_episode):
                     losses = update_fn()
-                summary = infos[i]["episode"]
-                payload = {
-                    "metrics": {
-                        f"{prefix}/episode_reward": summary["episode_reward"],
-                        f"{prefix}/collision_rate": summary["collision"],
-                        f"{prefix}/merge_success_rate": summary["merge_success_rate"],
-                        f"{prefix}/mean_speed": summary["mean_speed"],
-                    },
-                    "losses": {
-                        f"{prefix}/{name}": value
-                        for name, value in (losses or {}).items()
-                    },
-                    "eval": None,
-                }
+                entry = episode_metrics(prefix, summary)
+                entry.update(
+                    {f"{prefix}/{name}": value for name, value in (losses or {}).items()}
+                )
                 if eval_every and (
                     episode % eval_every == 0 or episode == episodes - 1
                 ):
-                    eval_metrics = evaluate_marl_vectorized(
+                    result = evaluate_marl_vectorized(
                         eval_vec_env,
                         algorithm,
                         episodes=eval_episodes,
                         seed=seed + 500 + episode,
                     )
-                    payload["eval"] = {
-                        f"{prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-                        f"{prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-                        f"{prefix}/eval_merge_success_rate": eval_metrics[
-                            "success_rate"
-                        ],
-                        f"{prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-                    }
-                pending[episode] = payload
+                    entry.update(eval_metrics(prefix, result))
+                pending[episode] = entry
                 while next_to_log in pending:
-                    flushed = pending.pop(next_to_log)
-                    logger.log_many(flushed["metrics"], next_to_log)
-                    for name, value in flushed["losses"].items():
-                        logger.log(name, value, next_to_log)
-                    if flushed["eval"]:
-                        logger.log_many(flushed["eval"], next_to_log)
+                    logger.log_many(pending.pop(next_to_log), next_to_log)
                     next_to_log += 1
-
-            # Hand the env its next episode (seeded), or let it idle on the
-            # auto-reset rollout once the budget is exhausted.
-            episode_of_env[i] = next_to_start
-            if next_to_start < len(reset_seeds):
-                row = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
-                obs[i] = row
-            next_to_start += 1
-
     if hasattr(algorithm, "epsilon"):
         algorithm.epsilon = float(epsilon_schedule(episodes - 1))
     return logger

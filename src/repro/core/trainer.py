@@ -20,6 +20,7 @@ exact seed stream of the scalar one and is bit-for-bit equal to it at
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -29,8 +30,13 @@ from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.sharded_env import EnvReplicaFactory, ShardedVectorEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from ..envs.stepping import VectorStepper
-from ..envs.vector_env import VectorEnv
-from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
+from ..envs.vector_env import VectorEnv, fast_path_blocker
+from ..utils.logging_utils import (
+    MetricLogger,
+    episode_metrics,
+    eval_metrics,
+    summarise_eval_episodes,
+)
 from ..utils.schedule import LinearSchedule
 from ..utils.seeding import episode_reset_seeds
 from .batched import BatchedHeroRunner
@@ -197,98 +203,64 @@ def train_hero(
     config = config or TrainingConfig()
     execution = config.execution.resolved()
     engine = UpdateEngine(team) if execution.fused_updates else None
-    update_fn = engine.update if engine is not None else team.update
     logger = logger or MetricLogger()
     rng = np.random.default_rng(config.seed + 12345)
     epsilon_schedule = LinearSchedule(
         config.epsilon_start, config.epsilon_end, config.epsilon_decay_episodes
     )
-    n_updates = (
-        updates_per_episode
-        if updates_per_episode is not None
-        else config.updates_per_episode
-    )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
-    if execution.num_envs > 1:
-        if execution.async_actors:
-            from ..distributed.actor_learner import train_hero_async
-
-            logger = train_hero_async(
-                env,
-                team,
-                episodes,
-                execution=execution,
-                rng=rng,
-                epsilon_schedule=epsilon_schedule,
-                n_updates=n_updates,
-                logger=logger,
-                metric_prefix=metric_prefix,
-                eval_every=eval_every,
-                eval_episodes=eval_episodes,
-                config=config,
-                update_fn=update_fn,
-                engine=engine,
-            )
-            return _finish_hero_training(team, env, config, checkpoint_path, logger)
-        logger = _train_hero_vectorized(
-            env,
-            team,
-            episodes,
-            num_envs=execution.num_envs,
-            num_workers=execution.num_workers,
-            rng=rng,
-            epsilon_schedule=epsilon_schedule,
-            n_updates=n_updates,
-            logger=logger,
-            metric_prefix=metric_prefix,
-            eval_every=eval_every,
-            eval_episodes=eval_episodes,
-            config=config,
-            update_fn=update_fn,
+    learn = functools.partial(
+        _learn_hero,
+        env=env,
+        team=team,
+        episodes=episodes,
+        seed=config.seed,
+        n_updates=(
+            updates_per_episode
+            if updates_per_episode is not None
+            else config.updates_per_episode
+        ),
+        update_fn=engine.update if engine is not None else team.update,
+        logger=logger,
+        metric_prefix=metric_prefix,
+        eval_every=eval_every,
+        eval_episodes=eval_episodes,
+    )
+    if execution.num_envs == 1:
+        learn(
+            _scalar_hero_collect(env, team, rng, epsilon_schedule),
+            evaluator=lambda n, seed: evaluate_hero(env, team, episodes=n, seed=seed),
         )
-        return _finish_hero_training(team, env, config, checkpoint_path, logger)
-
-    losses: dict[str, float] = {}
-    for episode in range(episodes):
-        epsilon = epsilon_schedule(episode)
-        obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
-        team.start_episode()
-        done = False
-        info: dict = {}
-        step = 0
-        while not done:
-            actions = team.act(obs, epsilon=epsilon, explore=True)
-            next_obs, rewards, dones, info = env.step(actions)
-            team.exchange_observations(next_obs, timestamp=step)
-            team.after_step(next_obs, rewards, dones)
-            obs = next_obs
-            done = dones["__all__"]
-            step += 1
-
-        for _ in range(n_updates):
-            losses = update_fn()
-
-        summary = info.get("episode", env.episode_summary())
-        attempts, _ = team.lane_change_stats()
-        _log_hero_episode(
-            logger, metric_prefix, env, summary, epsilon, attempts, losses, episode
+    else:
+        factory = _replica_factory(env)
+        eval_vec, evaluator = _hero_eval_engine(
+            env, factory, team, execution.num_envs, eval_every, eval_episodes
         )
-        if eval_every and (episode % eval_every == 0 or episode == episodes - 1):
-            _log_hero_eval(
-                logger, metric_prefix, env, team, eval_episodes, config, episode
-            )
-    return _finish_hero_training(team, env, config, checkpoint_path, logger)
+        learn = functools.partial(learn, evaluator=evaluator)
+        try:
+            if execution.async_actors:
+                from ..distributed.actor_learner import train_hero_async
 
-
-def _finish_hero_training(
-    team: HeroTeam,
-    env: CooperativeLaneChangeEnv,
-    config: TrainingConfig,
-    checkpoint_path: str | None,
-    logger: MetricLogger,
-) -> MetricLogger:
-    """Optionally persist the trained team as a serving checkpoint."""
+                train_hero_async(
+                    env,
+                    team,
+                    execution=execution,
+                    rng=rng,
+                    epsilon_schedule=epsilon_schedule,
+                    seed=config.seed,
+                    logger=logger,
+                    metric_prefix=metric_prefix,
+                    learn=learn,
+                    engine=engine,
+                )
+            else:
+                _train_hero_vectorized(
+                    factory, team, execution, rng, epsilon_schedule, learn
+                )
+        finally:
+            if eval_vec is not None:
+                eval_vec.close()
     if checkpoint_path is not None:
         from ..serving.checkpoint import save_checkpoint
 
@@ -303,71 +275,99 @@ def _finish_hero_training(
     return logger
 
 
-def _log_hero_episode(
-    logger: MetricLogger,
-    metric_prefix: str,
-    env: CooperativeLaneChangeEnv,
-    summary: dict[str, float],
-    epsilon: float,
-    lane_change_attempts: int,
-    losses: dict[str, float],
-    episode: int,
-) -> None:
-    """Per-episode training metrics (shared by the scalar/vectorized loops)."""
-    logger.log_many(
-        {
-            f"{metric_prefix}/episode_reward": summary["episode_reward"],
-            f"{metric_prefix}/collision_rate": summary["collision"],
-            f"{metric_prefix}/merge_success_rate": summary["merge_success_rate"],
-            f"{metric_prefix}/mean_speed": summary["mean_speed"],
-            f"{metric_prefix}/epsilon": epsilon,
-            f"{metric_prefix}/lane_change_attempts": float(lane_change_attempts),
-        },
-        episode,
-    )
-    if losses:
-        # Log a stable subset: the first agent's core losses.
-        first = env.agents[0]
-        for name in ("critic_loss", "actor_loss"):
-            key = f"{first}/{name}"
-            if key in losses:
-                logger.log(f"{metric_prefix}/{name}", losses[key], episode)
-        for key, value in losses.items():
-            if "_nll" in key:
-                logger.log(f"{metric_prefix}/{key}", value, episode)
+def _scalar_hero_collect(env, team: HeroTeam, rng, epsilon_schedule):
+    """``collect`` for the scalar loop: one full episode per call."""
+    episode = 0
+
+    def collect() -> list[dict]:
+        nonlocal episode
+        epsilon = epsilon_schedule(episode)
+        episode += 1
+        obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
+        team.start_episode()
+        done = False
+        info: dict = {}
+        step = 0
+        while not done:
+            actions = team.act(obs, epsilon=epsilon, explore=True)
+            next_obs, rewards, dones, info = env.step(actions)
+            team.exchange_observations(next_obs, timestamp=step)
+            team.after_step(next_obs, rewards, dones)
+            obs = next_obs
+            done = dones["__all__"]
+            step += 1
+        attempts, _ = team.lane_change_stats()
+        return [
+            {
+                "episode": info.get("episode", env.episode_summary()),
+                "epsilon": epsilon,
+                "lane_change_attempts": attempts,
+            }
+        ]
+
+    return collect
 
 
-def _log_hero_eval(
-    logger: MetricLogger,
-    metric_prefix: str,
+def _learn_hero(
+    collect,
+    *,
     env: CooperativeLaneChangeEnv,
     team: HeroTeam,
+    episodes: int,
+    seed: int,
+    n_updates: int,
+    update_fn,
+    logger: MetricLogger,
+    metric_prefix: str,
+    eval_every: int | None,
     eval_episodes: int,
-    config: TrainingConfig,
-    episode: int,
-    evaluator=None,
-) -> None:
-    """Greedy-evaluation metrics (shared by the scalar/vectorized loops).
+    evaluator,
+) -> MetricLogger:
+    """Algorithm 1's per-episode learn step, fed by any rollout source.
 
-    ``evaluator`` maps ``(episodes, seed)`` to the metrics dict; it defaults
-    to the scalar :func:`evaluate_hero` on ``env`` and is overridden by the
-    vectorized training loop with a :func:`evaluate_hero_vectorized`
-    closure over its evaluation ``VectorEnv``.
+    ``collect()`` returns the stats of the episodes that finished since
+    its last call (``episode`` summary, ``epsilon``,
+    ``lane_change_attempts``): one scalar episode, one
+    :meth:`BatchedRolloutWorker.collect`, or one round replayed from async
+    actors.  Each finished episode runs the gradient-update budget, logs
+    its metrics and, on the eval cadence, a greedy evaluation through
+    ``evaluator(episodes, seed)``, all under the completed-episode count.
     """
-    if evaluator is None:
-        def evaluator(episodes, seed):
-            return evaluate_hero(env, team, episodes=episodes, seed=seed)
-
-    eval_metrics = evaluator(eval_episodes, config.seed + 500 + episode)
-    logger.log_many(
-        {
-            f"{metric_prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-            f"{metric_prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-            f"{metric_prefix}/eval_merge_success_rate": eval_metrics["success_rate"],
-            f"{metric_prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-        },
-        episode,
-    )
+    completed = 0
+    losses: dict[str, float] = {}
+    while completed < episodes:
+        for stat in collect():
+            for _ in range(n_updates):
+                losses = update_fn()
+            logger.log_many(
+                {
+                    **episode_metrics(metric_prefix, stat["episode"]),
+                    f"{metric_prefix}/epsilon": stat["epsilon"],
+                    f"{metric_prefix}/lane_change_attempts": float(
+                        stat["lane_change_attempts"]
+                    ),
+                },
+                completed,
+            )
+            if losses:
+                # Log a stable subset: the first agent's core losses.
+                first = env.agents[0]
+                for name in ("critic_loss", "actor_loss"):
+                    key = f"{first}/{name}"
+                    if key in losses:
+                        logger.log(f"{metric_prefix}/{name}", losses[key], completed)
+                for key, value in losses.items():
+                    if "_nll" in key:
+                        logger.log(f"{metric_prefix}/{key}", value, completed)
+            if eval_every and (
+                completed % eval_every == 0 or completed == episodes - 1
+            ):
+                result = evaluator(eval_episodes, seed + 500 + completed)
+                logger.log_many(eval_metrics(metric_prefix, result), completed)
+            completed += 1
+            if completed >= episodes:
+                break
+    return logger
 
 
 def _make_hero_vec_env(
@@ -379,32 +379,49 @@ def _make_hero_vec_env(
     return VectorEnv(num_envs, env_fns=[factory] * num_envs)
 
 
-def _train_hero_vectorized(
-    env: CooperativeLaneChangeEnv,
-    team: HeroTeam,
-    episodes: int,
-    num_envs: int,
-    num_workers: int,
-    rng: np.random.Generator,
-    epsilon_schedule,
-    n_updates: int,
-    logger: MetricLogger,
-    metric_prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    config: TrainingConfig,
-    update_fn=None,
-) -> MetricLogger:
-    """Algorithm 1 with the rollout phase on a vectorized stepping engine.
+def _hero_eval_engine(env, factory, team, num_envs, eval_every, eval_episodes):
+    """The interleaved-eval engine of every vectorized HERO path.
 
-    Episodes are logged in completion order; each finished episode triggers
-    the same gradient-update budget as the scalar loop, so the only change
-    is how experience is gathered.  The interleaved greedy evaluations run
-    on a dedicated evaluation engine (the training one holds live
-    mid-episode state) through :func:`evaluate_hero_vectorized`.  With
-    ``num_workers > 1`` the training engine shards its env batch across
-    worker processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`);
-    the tiny eval engine stays single-process (see the inline note).
+    Warns when ``env``'s configuration steps on the scalar fallback — the
+    replicas the rollout engines (local or in actor processes) build from
+    it fall back the same way.  Returns ``(engine, evaluator)``, both
+    ``None`` when ``eval_every`` disables evals.  More eval envs than eval
+    episodes would just burn steps on rollouts that are never scored, so
+    the batch is capped at ``eval_episodes``; at that size multi-process
+    dispatch costs more than the shard work, so it stays single-process
+    (results are bit-for-bit identical either way;
+    :func:`evaluate_hero_vectorized` accepts a sharded engine when a
+    caller builds one for large standalone evaluations).
+    """
+    reason = fast_path_blocker([env])
+    if reason is not None:
+        warnings.warn(
+            f"vectorized HERO rollouts are stepping on the scalar fallback "
+            f"({reason}); training is correct but --num-envs/--num-workers "
+            "will not speed it up",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if not eval_every:
+        return None, None
+    engine = _make_hero_vec_env(factory, max(min(num_envs, eval_episodes), 1), 1)
+    runner = BatchedHeroRunner(team, engine)
+
+    def evaluator(episodes, seed):
+        return evaluate_hero_vectorized(
+            engine, team, episodes=episodes, seed=seed, runner=runner
+        )
+
+    return engine, evaluator
+
+
+def _replica_factory(env: CooperativeLaneChangeEnv) -> EnvReplicaFactory:
+    """A picklable factory replicating ``env`` for vectorized rollouts.
+
+    Shares the caller's (stateless) track and scripted policy, so custom
+    traffic falls through to the scalar fallback instead of being swapped
+    for the defaults; picklable (not a closure) so shard workers and actor
+    processes can rebuild the replicas.
     """
     if type(env) is not CooperativeLaneChangeEnv:
         raise ValueError(
@@ -412,90 +429,37 @@ def _train_hero_vectorized(
             "rollouts would silently train on different dynamics — use "
             "num_envs=1 or build the VectorEnv/BatchedRolloutWorker directly"
         )
-
-    # Replicate the caller's env faithfully: share the (stateless) track and
-    # scripted policy so custom traffic falls through to VectorEnv's scalar
-    # fallback instead of being swapped for the defaults.  A picklable
-    # factory (not a closure) so shard workers can rebuild the replicas.
-    factory = EnvReplicaFactory(
+    return EnvReplicaFactory(
         scenario=env.scenario,
         rewards=env.rewards,
         track=env.track,
         scripted_policy=env._scripted_policy,
     )
 
-    vec_env = _make_hero_vec_env(factory, num_envs, num_workers)
-    eval_vec: VectorStepper | None = None
+
+def _train_hero_vectorized(
+    factory: EnvReplicaFactory,
+    team: HeroTeam,
+    execution,
+    rng: np.random.Generator,
+    epsilon_schedule,
+    learn,
+) -> None:
+    """Algorithm 1 with the rollout phase on a local vectorized engine.
+
+    ``learn`` pulls :meth:`BatchedRolloutWorker.collect`, so each finished
+    episode triggers the same learn step as the scalar loop, in completion
+    order.  With ``num_workers > 1`` the engine shards its env batch across
+    worker processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`).
+    """
+    num_envs = execution.num_envs
+    vec_env = _make_hero_vec_env(factory, num_envs, execution.num_workers)
     try:
-        if not vec_env.fast_path:
-            warnings.warn(
-                "vectorized HERO rollouts are stepping on the scalar fallback "
-                f"({vec_env.fallback_reason}); training is correct but "
-                "--num-envs/--num-workers will not speed it up",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         worker = BatchedRolloutWorker(vec_env, team)
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-        worker.reset(seeds)
-
-        evaluator = None
-        if eval_every:
-            # More eval envs than eval episodes would just burn steps on
-            # rollouts that are never scored.  The eval batch is therefore
-            # tiny (<= eval_episodes), where multi-process dispatch costs
-            # more than the shard work — keep interleaved evals
-            # single-process (results are bit-for-bit identical either
-            # way; evaluate_hero_vectorized accepts a sharded engine when
-            # a caller builds one for large standalone evaluations).
-            eval_envs = max(min(num_envs, eval_episodes), 1)
-            eval_vec = _make_hero_vec_env(factory, eval_envs, 1)
-            eval_runner = BatchedHeroRunner(team, eval_vec)
-
-            def evaluator(episodes, seed):
-                return evaluate_hero_vectorized(
-                    eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
-                )
-
-        if update_fn is None:
-            update_fn = team.update
-        completed = 0
-        losses: dict[str, float] = {}
-        while completed < episodes:
-            for stat in worker.collect(epsilon_schedule):
-                for _ in range(n_updates):
-                    losses = update_fn()
-                _log_hero_episode(
-                    logger,
-                    metric_prefix,
-                    env,
-                    stat["episode"],
-                    stat["epsilon"],
-                    stat["lane_change_attempts"],
-                    losses,
-                    completed,
-                )
-                if eval_every and (
-                    completed % eval_every == 0 or completed == episodes - 1
-                ):
-                    _log_hero_eval(
-                        logger,
-                        metric_prefix,
-                        env,
-                        team,
-                        eval_episodes,
-                        config,
-                        completed,
-                        evaluator=evaluator,
-                    )
-                completed += 1
-                if completed >= episodes:
-                    break
-        return logger
+        worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
+        learn(functools.partial(worker.collect, epsilon_schedule))
     finally:
         vec_env.close()
-        if eval_vec is not None:
-            eval_vec.close()
 
 
 def evaluate_hero(

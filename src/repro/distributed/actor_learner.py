@@ -15,6 +15,15 @@ double-buffered segment serves every actor (readers only attach), and
 each payload reports the snapshot version that actor acted with, so the
 learner logs aggregate and per-actor ``snapshot_staleness``.
 
+Nothing here re-implements a training loop.  The actors step the
+synchronous loops' own rollout workers
+(:class:`~repro.core.trainer.BatchedRolloutWorker`,
+:class:`~repro.baselines.base.MarlRolloutWorker`), and the learner runs
+the synchronous loops' own learn step, pulling shipped rounds through a
+``collect()`` callable instead of stepping a local worker.  Both method
+families share one actor loop (:func:`_actor_main`) and one learner-side
+fleet (:func:`_run_actors`: spawn, drain, shutdown).
+
 Option selection consumes one shared RNG stream across an env batch, so
 an env batch is never *split* across actors (batch-shaped draws and
 batch-shaped BLAS forwards would both change bits).  Fan-out instead
@@ -68,26 +77,21 @@ down.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import time
 import traceback
-import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..baselines.base import evaluate_marl_vectorized
+from ..baselines.base import MarlRolloutWorker
+from ..baselines.base import _idqn_episode_plan  # noqa: F401  (re-exported)
 from ..baselines.idqn import IndependentDQN
 from ..config import Execution
-from ..core.batched import BatchedHeroRunner
 from ..core.hero import HeroTeam
 from ..core.options import OptionSet
-from ..core.trainer import (
-    BatchedRolloutWorker,
-    _log_hero_episode,
-    _log_hero_eval,
-    _make_hero_vec_env,
-    evaluate_hero_vectorized,
-)
+from ..core.trainer import BatchedRolloutWorker, _make_hero_vec_env
 from ..core.update_engine import (
     BoundFamilyVector,
     HeroTeamUpdateEngine,
@@ -102,7 +106,7 @@ from ..envs.wrappers import make_baseline_vector_env
 from ..nn.layers import Linear
 from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
-from ..utils.seeding import episode_partition, episode_reset_seeds, spawn_rngs
+from ..utils.seeding import spawn_rngs
 from .parameter_server import ParameterServer
 from .protocol import ActorError, RolloutPayload, encode_rng_state, load_rng_state
 from .queues import ActorFanIn, QueueClosed, ShmRingQueue
@@ -128,7 +132,7 @@ _ACTOR_RNG_SALT = 31337
 
 
 # ---------------------------------------------------------------------------
-# Shared plumbing
+# Shared plumbing: one actor loop, one learner-side fleet
 # ---------------------------------------------------------------------------
 
 
@@ -167,7 +171,97 @@ def _make_exporter(members, flat: np.ndarray | None = None):
     return lambda: gather_family(members, out)
 
 
-def _shutdown(server, queues, processes, *closeables) -> None:
+class _Rollout(NamedTuple):
+    """One method family's actor replica, as :func:`_actor_main` drives it."""
+
+    bound: dict  # snapshot slot -> BoundFamilyVector over the replica's nets
+    rngs: list  # the generators the snapshot's RNG sidecar carries
+    collect: Callable[[], dict]  # one collection round -> payload data
+    exhausted: Callable[[], bool] = lambda: False  # nothing left to collect
+
+
+def _actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
+    """Rollout actor process: act on snapshots, ship collected rounds.
+
+    ``spec["build"]`` builds the family's replica (:class:`_Rollout`).
+    Each round reads the newest snapshot no older than
+    ``round - max_staleness``, loads its weights — and in lockstep its
+    RNG sidecar — collects one round and ships it.  Every replica ships
+    every round; in lockstep the ship doubles as this replica's snapshot
+    ack (the barrier described in the module docstring).  The actor runs
+    until the learner's stop flag (exiting early would race the learner's
+    liveness poll, which treats a missing actor process as a crash); a
+    failure is reported as an :class:`ActorError` frame.
+    """
+    cleanup = contextlib.ExitStack()
+    try:
+        # Spawned processes start at the float64 default; adopt the
+        # learner's compute dtype before building any network or env.
+        set_default_dtype(spec["dtype"])
+        rollout = spec["build"](spec, cleanup)
+        max_staleness = spec["max_staleness"]
+        round_index = 0
+        while not server.stop_requested:
+            if rollout.exhausted():
+                # Nothing left to ship: idle until the learner's stop flag
+                # rather than busy-stepping envs.
+                time.sleep(0.01)
+                continue
+            try:
+                version, vectors, rng_words = server.read(
+                    max(round_index - max_staleness, 0), abort=_parent_abort
+                )
+            except RuntimeError:
+                if server.stop_requested:
+                    break
+                raise
+            for slot, view in rollout.bound.items():
+                view.load(vectors[slot])
+            if max_staleness == 0:
+                for rng, words in zip(rollout.rngs, rng_words):
+                    load_rng_state(rng, words)
+            payload = RolloutPayload(
+                round_index=round_index,
+                version_used=version,
+                data=rollout.collect(),
+                rng_states=(
+                    [encode_rng_state(rng) for rng in rollout.rngs]
+                    if max_staleness == 0
+                    else []
+                ),
+                actor_id=spec["actor_id"],
+            )
+            try:
+                queue.put(payload, abort=_parent_abort)
+            except QueueClosed:
+                break
+            round_index += 1
+    except Exception:
+        try:
+            queue.put(
+                ActorError(
+                    message=traceback.format_exc(),
+                    actor_id=spec.get("actor_id", -1),
+                ),
+                timeout=5.0,
+            )
+        except Exception:
+            pass
+    finally:
+        cleanup.close()
+        queue.release()
+        server.release()
+
+
+def _check_payload(payload) -> RolloutPayload:
+    if isinstance(payload, ActorError):
+        raise RuntimeError(
+            f"async actor {payload.actor_id} failed:\n{payload.message}"
+        )
+    return payload
+
+
+def _shutdown(server, queues, processes) -> None:
     """Tear the stack down in signal order; never leaves an orphan or shm.
 
     Stop flag first (wakes actors polling the server), queue closes
@@ -187,17 +281,108 @@ def _shutdown(server, queues, processes, *closeables) -> None:
     for queue in queues:
         queue.release()
     server.release()
-    for closeable in closeables:
-        if closeable is not None:
-            closeable.close()
 
 
-def _check_payload(payload) -> RolloutPayload:
-    if isinstance(payload, ActorError):
-        raise RuntimeError(
-            f"async actor {payload.actor_id} failed:\n{payload.message}"
-        )
-    return payload
+def _run_actors(
+    name: str,
+    specs: list[dict],
+    *,
+    exporters: dict,
+    rngs: list,
+    execution: Execution,
+    logger: MetricLogger,
+    prefix: str,
+    unpack,
+    learn,
+):
+    """Spawn one actor per spec, run ``learn`` on their rounds, tear down.
+
+    ``exporters`` map each snapshot slot to its flat-vector exporter;
+    ``rngs`` are the learner generators the snapshot's RNG sidecar
+    carries.  ``learn`` gets the ``collect()`` it pulls from: publish the
+    learner's current snapshot (version 0, published before the actors
+    start, serves the first round), drain one round and return
+    ``unpack(payload)``.
+
+    Lockstep drains one payload per replica, in rotation, before the next
+    publish — the barrier described in the module docstring — and
+    returns the round owner's copy (``round % N``) after resuming its
+    post-round RNG states; the other copies are bit-identical and only
+    served as acks.  Staleness mode takes the first available payload and
+    logs its snapshot staleness.
+    """
+    num_actors = execution.num_actors
+    lockstep = execution.max_staleness == 0
+    snapshot = {slot: export() for slot, export in exporters.items()}
+    server = ParameterServer(
+        {slot: vector.size for slot, vector in snapshot.items()},
+        num_rngs=len(rngs),
+        dtype=next(iter(snapshot.values())).dtype,
+    )
+    queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in specs]
+    processes: list = []
+
+    def publish(vectors) -> None:
+        server.publish(vectors, np.stack([encode_rng_state(rng) for rng in rngs]))
+
+    try:
+        # Version 0 must exist before the actors' first read.
+        publish(snapshot)
+        for k, spec in enumerate(specs):
+            process = _CTX.Process(
+                target=_actor_main,
+                args=(spec, server, queues[k]),
+                name=f"{name}-actor-{k}",
+            )
+            process.start()
+            processes.append(process)
+        abort = _actor_abort(processes)
+        fan_in = ActorFanIn(queues)
+        merged = 0  # payloads consumed; the global round counter in lockstep
+
+        def collect():
+            nonlocal merged
+            if merged:
+                publish({slot: export() for slot, export in exporters.items()})
+            if lockstep:
+                round_payloads = []
+                for _ in range(num_actors):
+                    round_payloads.append(
+                        _check_payload(
+                            fan_in.get(expected=merged % num_actors, abort=abort)
+                        )
+                    )
+                    merged += 1
+                payload = round_payloads[(merged // num_actors - 1) % num_actors]
+                for rng, words in zip(rngs, payload.rng_states):
+                    load_rng_state(rng, words)
+            else:
+                payload = _check_payload(fan_in.get(abort=abort))
+                merged += 1
+                # version_used can exceed this actor's round counter when
+                # other actors drive versions up faster; staleness is the
+                # lag behind the actor's own progress, floored at 0.  The
+                # aggregate series is logged at the merged-payload counter
+                # (monotonic across actors; equals round_index at N=1).
+                staleness = float(
+                    max(payload.round_index - payload.version_used, 0)
+                )
+                logger.log(f"{prefix}/snapshot_staleness", staleness, merged - 1)
+                logger.log(
+                    f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
+                    staleness,
+                    payload.round_index,
+                )
+            return unpack(payload)
+
+        return learn(collect)
+    finally:
+        _shutdown(server, queues, processes)
+
+
+# ---------------------------------------------------------------------------
+# HERO
+# ---------------------------------------------------------------------------
 
 
 def _actor_seed_sets(rng, num_envs: int, num_actors: int, lockstep: bool):
@@ -216,11 +401,6 @@ def _actor_seed_sets(rng, num_envs: int, num_actors: int, lockstep: bool):
         [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
         for _ in range(num_actors)
     ]
-
-
-# ---------------------------------------------------------------------------
-# HERO
-# ---------------------------------------------------------------------------
 
 
 def _capture_transition(events: list, agent_index: int):
@@ -244,156 +424,98 @@ def _capture_record(events: list, agent_index: int):
     return capture
 
 
-def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """Rollout actor process: act on snapshots, ship captured experience.
+def _hero_rollout(spec: dict, cleanup: contextlib.ExitStack) -> _Rollout:
+    """HERO actor replica: the synchronous loop's
+    :class:`BatchedRolloutWorker` on a team whose learnable families are
+    bound to snapshot vectors.
 
-    Runs the same :class:`BatchedRolloutWorker` code path as the
-    synchronous loop on a replica team whose learnable families are bound
-    to flat import vectors.  Replay-buffer writes and opponent-model
-    records are captured as an ordered event log instead of being applied
-    locally — the learner replays them verbatim, so its buffers evolve
-    exactly as the synchronous loop's would.
-
-    Fan-out: in lockstep mode all ``num_actors`` replicas collect and
-    ship every round (the learner replays the round owner's bit-identical
-    copy and treats each ship as that replica's snapshot ack); in
-    staleness mode this actor's batch is its own partition of the
-    collection workload.
+    Replay-buffer writes and opponent-model records are captured as an
+    ordered event log instead of being applied locally — the learner
+    replays them verbatim, so its buffers evolve exactly as the
+    synchronous loop's would.  In lockstep all replicas collect identical
+    rounds; in staleness mode this actor's batch is its own partition of
+    the collection workload.
     """
-    vec_env = None
-    try:
-        # Spawned processes start at the float64 default; adopt the
-        # learner's compute dtype before building any network or env.
-        set_default_dtype(spec.get("dtype", "float64"))
-        env = spec["factory"]()
-        team = HeroTeam(
-            env,
-            np.random.default_rng(0),
-            hyper=spec["hyper"],
-            option_set=OptionSet(*spec["option_set_args"]),
-            opponent_mode=spec["opponent_mode"],
-            batch_size=spec["batch_size"],
-        )
-        team.load_state_dict(spec["team_state"])
-        highs = [team.agents[a].high_level for a in env.agents]
-        # Skills are pre-trained and frozen during high-level training, but
-        # their exploration RNGs advanced during pre-training: adopt the
-        # exact states, shipped once at spawn.
-        load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
-        load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
-        if spec["actor_rng"] is not None:  # staleness mode: forked streams
-            for high, words in zip(highs, spec["actor_rng"]):
-                load_rng_state(high._rng, words)
+    env = spec["factory"]()
+    team = HeroTeam(
+        env,
+        np.random.default_rng(0),
+        hyper=spec["hyper"],
+        option_set=OptionSet(*spec["option_set_args"]),
+        opponent_mode=spec["opponent_mode"],
+        batch_size=spec["batch_size"],
+    )
+    team.load_state_dict(spec["team_state"])
+    highs = [team.agents[a].high_level for a in env.agents]
+    # Skills are pre-trained and frozen during high-level training, but
+    # their exploration RNGs advanced during pre-training: adopt the
+    # exact states, shipped once at spawn.
+    load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
+    load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
+    if spec["actor_rng"] is not None:  # staleness mode: forked streams
+        for high, words in zip(highs, spec["actor_rng"]):
+            load_rng_state(high._rng, words)
 
-        bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
+    bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
+    if spec["has_opponent_slot"]:
+        bound["opponent"] = BoundFamilyVector(
+            [p.trunk for h in highs for p in h.opponent_model.predictors]
+        )
+    events: list = []
+    for k, high in enumerate(highs):
+        high.store_transition = _capture_transition(events, k)
         if spec["has_opponent_slot"]:
-            bound["opponent"] = BoundFamilyVector(
-                [p.trunk for h in highs for p in h.opponent_model.predictors]
-            )
-        events: list = []
-        for k, high in enumerate(highs):
-            high.store_transition = _capture_transition(events, k)
-            if spec["has_opponent_slot"]:
-                high.opponent_model.record = _capture_record(events, k)
+            high.opponent_model.record = _capture_record(events, k)
 
-        vec_env = _make_hero_vec_env(
-            spec["factory"], spec["num_envs"], spec["num_workers"]
+    vec_env = cleanup.enter_context(
+        contextlib.closing(
+            _make_hero_vec_env(spec["factory"], spec["num_envs"], spec["num_workers"])
         )
-        worker = BatchedRolloutWorker(vec_env, team)
-        worker.reset(spec["seeds"])
-        max_staleness = spec["max_staleness"]
-        lockstep = max_staleness == 0
-        actor_id = spec["actor_id"]
-        round_index = 0
-        while not server.stop_requested:
-            try:
-                version, vectors, rng_words = server.read(
-                    max(round_index - max_staleness, 0), abort=_parent_abort
-                )
-            except RuntimeError:
-                if server.stop_requested:
-                    break
-                raise
-            for name, view in bound.items():
-                view.load(vectors[name])
-            if lockstep:
-                for j, high in enumerate(highs):
-                    load_rng_state(high._rng, rng_words[j])
-            events.clear()
-            stats = worker.collect(spec["epsilon_schedule"])
-            # Every replica ships every round.  In lockstep the ship is
-            # also this replica's ack that it consumed the current
-            # snapshot: the learner publishes version r+1 only after
-            # draining all N round-r payloads, so a replica's next read
-            # observes exactly version r+1 — a newest-wins read without
-            # that barrier lets a fast learner feed a slow replica a
-            # later snapshot and silently fork the replicated state.
-            payload = RolloutPayload(
-                round_index=round_index,
-                version_used=version,
-                data={
-                    "events": list(events),
-                    "stats": stats,
-                    "last_observed": [
-                        h._last_observed_options.copy() for h in highs
-                    ],
-                },
-                rng_states=(
-                    [encode_rng_state(h._rng) for h in highs] if lockstep else []
-                ),
-                actor_id=actor_id,
-            )
-            try:
-                queue.put(payload, abort=_parent_abort)
-            except QueueClosed:
-                break
-            round_index += 1
-    except Exception:
-        try:
-            queue.put(
-                ActorError(
-                    message=traceback.format_exc(),
-                    actor_id=spec.get("actor_id", -1),
-                ),
-                timeout=5.0,
-            )
-        except Exception:
-            pass
-    finally:
-        if vec_env is not None:
-            vec_env.close()
-        queue.release()
-        server.release()
+    )
+    worker = BatchedRolloutWorker(vec_env, team)
+    worker.reset(spec["seeds"])
+
+    def collect() -> dict:
+        events.clear()
+        stats = worker.collect(spec["epsilon_schedule"])
+        return {
+            "events": list(events),
+            "stats": stats,
+            "last_observed": [h._last_observed_options.copy() for h in highs],
+        }
+
+    return _Rollout(bound, [h._rng for h in highs], collect)
 
 
 def train_hero_async(
     env: CooperativeLaneChangeEnv,
     team: HeroTeam,
-    episodes: int,
     *,
     execution: Execution,
     rng: np.random.Generator,
     epsilon_schedule,
-    n_updates: int,
+    seed: int,
     logger: MetricLogger,
     metric_prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    config,
-    update_fn,
+    learn,
     engine=None,
 ) -> MetricLogger:
-    """Algorithm 1 on the async actor–learner stack.
+    """Algorithm 1 with its rollout phase in async actor processes.
 
-    Same contract as the synchronous ``_train_hero_vectorized`` — at
-    ``execution.max_staleness == 0`` the same bits (at any
-    ``num_actors``), above it overlapped rollout and update with aggregate
-    and per-actor staleness logged per round.  ``execution.num_actors``
-    fans collection out over that many actor processes (see the module docstring for the
-    replicated-lockstep / partitioned-staleness split).  ``engine`` is
-    the :class:`~repro.core.update_engine.UpdateEngine` behind
-    ``update_fn`` when fused updates are active; its flat optimizer
-    buffers make each snapshot publish a plain ``np.copyto``.
+    ``learn`` is ``train_hero``'s learn loop; it pulls a ``collect()``
+    that publishes the current snapshot, drains one round and replays its
+    event log into the learner's team, returning the round's finished
+    episodes — so at ``execution.max_staleness == 0`` the run is the
+    synchronous vectorized loop's bits (at any ``num_actors``), above it
+    rollout and update overlap with aggregate and per-actor staleness
+    logged per round under ``metric_prefix``.  ``execution.num_actors``
+    fans collection out over that many actor processes (see the module
+    docstring for the replicated-lockstep / partitioned-staleness split).
+    ``engine`` is the :class:`~repro.core.update_engine.UpdateEngine`
+    behind the learner's updates when fused updates are active; its flat
+    optimizer buffers make each snapshot publish a plain ``np.copyto``.
+    Raises ``ValueError`` for configurations that cannot cross the
+    process boundary (a non-stock env class or option set).
     """
     if type(env) is not CooperativeLaneChangeEnv:
         raise ValueError(
@@ -406,10 +528,8 @@ def train_hero_async(
             "async actors require the default OptionSet (custom option sets "
             "hold unpicklable predicates and cannot be shipped to the actor)"
         )
-    num_envs = execution.num_envs
-    max_staleness = execution.max_staleness
     num_actors = execution.num_actors
-
+    lockstep = execution.max_staleness == 0
     factory = EnvReplicaFactory(
         scenario=env.scenario,
         rewards=env.rewards,
@@ -421,31 +541,20 @@ def train_hero_async(
     impl = getattr(engine, "_impl", None)
     fused_impl = impl if isinstance(impl, HeroTeamUpdateEngine) else None
 
-    actor_members = [h.actor.trunk for h in highs]
-    slots = {"actor": family_vector_size(actor_members)}
     exporters = {
         "actor": _make_exporter(
-            actor_members, fused_impl.actor_opt._flat if fused_impl else None
+            [h.actor.trunk for h in highs],
+            fused_impl.actor_opt._flat if fused_impl else None,
         )
     }
     has_opponent_slot = bool(first.num_opponents) and first.opponent_mode == "model"
     if has_opponent_slot:
-        opponent_members = [
-            p.trunk for h in highs for p in h.opponent_model.predictors
-        ]
-        slots["opponent"] = family_vector_size(opponent_members)
         exporters["opponent"] = _make_exporter(
-            opponent_members,
+            [p.trunk for h in highs for p in h.opponent_model.predictors],
             fused_impl.opponent_opt._flat if fused_impl else None,
         )
 
-    def rng_sidecar() -> np.ndarray:
-        return np.stack([encode_rng_state(h._rng) for h in highs])
-
-    lockstep = max_staleness == 0
-    server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
-    queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
-    seed_sets = _actor_seed_sets(rng, num_envs, num_actors, lockstep)
+    seed_sets = _actor_seed_sets(rng, execution.num_envs, num_actors, lockstep)
     # Actor-major RNG forks: actor k's agent streams are children
     # [k * agents, (k + 1) * agents) of one SeedSequence, so actor 0's
     # streams equal the single-actor run's at any fan-out (SeedSequence
@@ -455,16 +564,14 @@ def train_hero_async(
         if lockstep
         else [
             encode_rng_state(g)
-            for g in spawn_rngs(
-                config.seed + _ACTOR_RNG_SALT, num_actors * len(highs)
-            )
+            for g in spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors * len(highs))
         ]
     )
     shared_spec = {
+        "build": _hero_rollout,
         "factory": factory,
-        "num_envs": num_envs,
+        "num_envs": execution.num_envs,
         "num_workers": execution.num_workers,
-        "num_actors": num_actors,
         "epsilon_schedule": epsilon_schedule,
         "hyper": team.hyper,
         "option_set_args": (
@@ -479,15 +586,11 @@ def train_hero_async(
             encode_rng_state(team.skills.lane_change._rng),
         ],
         "has_opponent_slot": has_opponent_slot,
-        "max_staleness": max_staleness,
+        "max_staleness": execution.max_staleness,
         "dtype": np.dtype(get_default_dtype()).name,
     }
-    # Version 0 — current weights and RNG states — must exist before the
-    # actors' first read.
-    server.publish({name: fn() for name, fn in exporters.items()}, rng_sidecar())
-    processes = []
-    for k in range(num_actors):
-        spec = dict(
+    specs = [
+        dict(
             shared_spec,
             actor_id=k,
             seeds=seed_sets[k],
@@ -497,130 +600,32 @@ def train_hero_async(
                 else actor_streams[k * len(highs) : (k + 1) * len(highs)]
             ),
         )
-        processes.append(
-            _CTX.Process(
-                target=_hero_actor_main,
-                args=(spec, server, queues[k]),
-                name=f"hero-actor-{k}",
-            )
-        )
-    for process in processes:
-        process.start()
+        for k in range(num_actors)
+    ]
 
-    eval_vec = None
-    try:
-        evaluator = None
-        if eval_every:
-            # Same sizing note as the synchronous loop: the eval batch is
-            # capped at eval_episodes and stays single-process.
-            eval_envs = max(min(num_envs, eval_episodes), 1)
-            eval_vec = _make_hero_vec_env(factory, eval_envs, 1)
-            if not eval_vec.fast_path:
-                warnings.warn(
-                    "vectorized HERO rollouts are stepping on the scalar "
-                    f"fallback ({eval_vec.fallback_reason}); training is "
-                    "correct but --num-envs/--num-workers will not speed it up",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            eval_runner = BatchedHeroRunner(team, eval_vec)
-
-            def evaluator(episodes, seed):
-                return evaluate_hero_vectorized(
-                    eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
-                )
-
-        abort = _actor_abort(processes)
-        fan_in = ActorFanIn(queues)
-        completed = 0
-        merged = 0  # payloads consumed; the global round counter in lockstep
-        losses: dict[str, float] = {}
-        while completed < episodes:
-            if lockstep:
-                # Drain one payload per replica, in rotation.  Draining
-                # the full replica set before the next publish is the
-                # lockstep barrier: each ship acks that its replica has
-                # consumed the current snapshot, so every replica's next
-                # read observes exactly version == round.  The round
-                # owner's copy (round % N) is replayed; the rest are
-                # bit-identical and only served as acks.
-                round_payloads = []
-                for _ in range(num_actors):
-                    round_payloads.append(
-                        _check_payload(
-                            fan_in.get(expected=merged % num_actors, abort=abort)
-                        )
-                    )
-                    merged += 1
-                round_idx = merged // num_actors - 1
-                payload = round_payloads[round_idx % num_actors]
-                for high, words in zip(highs, payload.rng_states):
-                    load_rng_state(high._rng, words)
+    def replay(payload) -> list[dict]:
+        # Buffer pushes and opponent records land in the learner's team in
+        # the exact order the synchronous loop would have produced them.
+        for event in payload.data["events"]:
+            if event[0] == "t":
+                highs[event[1]].store_transition(event[2])
             else:
-                payload = _check_payload(fan_in.get(abort=abort))
-                merged += 1
-                # version_used can exceed this actor's round counter when
-                # other actors drive versions up faster; staleness is the
-                # lag behind the actor's own progress, floored at 0.  The
-                # aggregate series is logged at the merged-payload counter
-                # (monotonic across actors; equals round_index at N=1).
-                staleness = float(
-                    max(payload.round_index - payload.version_used, 0)
-                )
-                logger.log(
-                    f"{metric_prefix}/snapshot_staleness", staleness, merged - 1
-                )
-                logger.log(
-                    f"{metric_prefix}/snapshot_staleness/actor{payload.actor_id}",
-                    staleness,
-                    payload.round_index,
-                )
-            # Replay the actor's capture log: buffer pushes and opponent
-            # records land in the learner's team in the exact order the
-            # synchronous loop would have produced them.
-            for event in payload.data["events"]:
-                if event[0] == "t":
-                    highs[event[1]].store_transition(event[2])
-                else:
-                    highs[event[1]].opponent_model.record(event[2], event[3])
-            for high, observed in zip(highs, payload.data["last_observed"]):
-                high._last_observed_options = observed
-            for stat in payload.data["stats"]:
-                for _ in range(n_updates):
-                    losses = update_fn()
-                _log_hero_episode(
-                    logger,
-                    metric_prefix,
-                    env,
-                    stat["episode"],
-                    stat["epsilon"],
-                    stat["lane_change_attempts"],
-                    losses,
-                    completed,
-                )
-                if eval_every and (
-                    completed % eval_every == 0 or completed == episodes - 1
-                ):
-                    _log_hero_eval(
-                        logger,
-                        metric_prefix,
-                        env,
-                        team,
-                        eval_episodes,
-                        config,
-                        completed,
-                        evaluator=evaluator,
-                    )
-                completed += 1
-                if completed >= episodes:
-                    break
-            if completed < episodes:
-                server.publish(
-                    {name: fn() for name, fn in exporters.items()}, rng_sidecar()
-                )
-        return logger
-    finally:
-        _shutdown(server, queues, processes, eval_vec)
+                highs[event[1]].opponent_model.record(event[2], event[3])
+        for high, observed in zip(highs, payload.data["last_observed"]):
+            high._last_observed_options = observed
+        return payload.data["stats"]
+
+    return _run_actors(
+        "hero",
+        specs,
+        exporters=exporters,
+        rngs=[h._rng for h in highs],
+        execution=execution,
+        logger=logger,
+        prefix=metric_prefix,
+        unpack=replay,
+        learn=learn,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -636,178 +641,53 @@ def _idqn_hidden_dim(algorithm: IndependentDQN) -> int:
     raise ValueError("IDQN trunk has no Linear layer")
 
 
-def _idqn_episode_plan(episodes: int, n: int, num_actors: int, actor: int):
-    """Episode universe bookkeeping shared by the IDQN actor and learner.
+def _idqn_rollout(spec: dict, cleanup: contextlib.ExitStack) -> _Rollout:
+    """IDQN actor replica: the synchronous loop's :class:`MarlRolloutWorker`
+    acting on snapshots.
 
-    Returns ``(universe, my_episodes)``: the size of the
-    :func:`episode_reset_seeds` universe and the (global) episode indices
-    this actor walks, in start order.  The universe is padded so every
-    actor can seed its initial batch of ``n`` envs; indices at or beyond
-    ``episodes`` are warm-up/overflow episodes that are stepped but never
-    counted.  At ``num_actors=1`` this reduces to the synchronous loop's
-    ``max(episodes, n)`` universe walked in order.
+    A round closes at every step that finishes a budget episode — the
+    steps that trigger updates in the synchronous loop — and ships that
+    round's rows.  Lockstep replicas walk the full episode universe;
+    staleness actors walk their :func:`~repro.utils.seeding.episode_partition`
+    stride of it and go idle once their budget episodes are done.
     """
-    universe = max(episodes, n * num_actors)
-    return universe, episode_partition(universe, num_actors, actor)
-
-
-def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """IDQN rollout actor: replicates the synchronous vectorized loop's
-    env/episode accounting step for step, acting on snapshots and shipping
-    per-step transition rows; every step that would trigger updates in the
-    synchronous loop closes a collection round.
-
-    Fan-out: lockstep replicas all walk the full episode universe (only
-    actor ``round % num_actors`` ships each round); staleness actors walk
-    their :func:`episode_partition` stride of the same universe and ship
-    every round they close.  Either way the actor keeps stepping until
-    the learner's stop flag — exiting early would race the learner's
-    liveness poll, which treats a missing actor process as a crash.
-    """
-    vec_env = None
-    try:
-        # Adopt the learner's compute dtype before building the replica.
-        set_default_dtype(spec.get("dtype", "float64"))
-        algo = IndependentDQN(
-            spec["agent_ids"],
-            spec["obs_dim"],
-            spec["num_actions"],
-            np.random.default_rng(0),
-            hidden_dim=spec["hidden_dim"],
-            buffer_capacity=1,  # the actor never observes; learner owns replay
-        )
-        bound = BoundFamilyVector(
-            [algo.q_networks[a].trunk for a in algo.agent_ids]
-        )
-        if spec["actor_rng"] is not None:  # staleness mode: forked stream
-            load_rng_state(algo._rng, spec["actor_rng"])
-        vec_env = make_baseline_vector_env(
-            spec["num_envs"],
-            scenario=spec["scenario"],
-            rewards=spec["rewards"],
-            num_workers=spec["num_workers"],
-        )
-        episodes = spec["episodes"]
-        schedule = spec["epsilon_schedule"]
-        max_staleness = spec["max_staleness"]
-        lockstep = max_staleness == 0
-        actor_id = spec["actor_id"]
-        num_actors = spec["num_actors"]
-        # Lockstep replicates the whole universe on every actor; staleness
-        # partitions it by stride.
-        part_actors, part_id = (1, 0) if lockstep else (num_actors, actor_id)
-
-        n = vec_env.num_envs
-        universe, my_episodes = _idqn_episode_plan(episodes, n, part_actors, part_id)
-        reset_seeds = episode_reset_seeds(spec["seed"], universe)
-        episode_of_env = my_episodes[:n].copy()
-        next_slot = n
-        budget_count = int((my_episodes < episodes).sum())
-        completed_budget = 0
-        obs = vec_env.reset(seeds=[int(reset_seeds[e]) for e in episode_of_env])
-
-        rows: list[dict] = []
-        round_index = 0
-        version = -1
-        need_snapshot = True
-        while not server.stop_requested:
-            if completed_budget >= budget_count and not need_snapshot:
-                # Budget drained and no round pending: idle until the
-                # learner's stop flag rather than busy-stepping envs.
-                time.sleep(0.01)
-                continue
-            if need_snapshot:
-                try:
-                    version, vectors, rng_words = server.read(
-                        max(round_index - max_staleness, 0), abort=_parent_abort
-                    )
-                except RuntimeError:
-                    if server.stop_requested:
-                        break
-                    raise
-                bound.load(vectors["q"])
-                if lockstep:
-                    load_rng_state(algo._rng, rng_words[0])
-                need_snapshot = False
-
-            eps = np.array(
-                [schedule(min(int(e), episodes - 1)) for e in episode_of_env]
+    algo = IndependentDQN(
+        spec["agent_ids"],
+        spec["obs_dim"],
+        spec["num_actions"],
+        np.random.default_rng(0),
+        hidden_dim=spec["hidden_dim"],
+        buffer_capacity=1,  # the actor never observes; learner owns replay
+    )
+    bound = {"q": BoundFamilyVector([algo.q_networks[a].trunk for a in algo.agent_ids])}
+    if spec["actor_rng"] is not None:  # staleness mode: forked stream
+        load_rng_state(algo._rng, spec["actor_rng"])
+    vec_env = cleanup.enter_context(
+        contextlib.closing(
+            make_baseline_vector_env(
+                spec["num_envs"],
+                scenario=spec["scenario"],
+                rewards=spec["rewards"],
+                num_workers=spec["num_workers"],
             )
-            algo.epsilon = float(eps[0]) if n == 1 else eps
-            actions = algo.act_batch(obs, explore=True)
-            next_obs, rewards, dones, infos = vec_env.step(actions)
-            observed_next = next_obs
-            if dones.any():
-                observed_next = next_obs.copy()
-                for i in np.flatnonzero(dones):
-                    observed_next[i] = infos[i]["terminal_observation"]
-            rows.append(
-                {
-                    "obs": np.array(obs, copy=True),
-                    "actions": actions,
-                    "rewards": np.array(rewards, copy=True),
-                    "next_obs": np.array(observed_next, copy=True),
-                    "dones": np.array(dones, copy=True),
-                    "summaries": {
-                        int(i): infos[i]["episode"] for i in np.flatnonzero(dones)
-                    },
-                }
-            )
-            obs = next_obs
+        )
+    )
+    episodes = spec["episodes"]
+    partition = (
+        (1, 0) if spec["max_staleness"] == 0 else (spec["num_actors"], spec["actor_id"])
+    )
+    worker = MarlRolloutWorker(
+        vec_env, algo, episodes, spec["seed"], spec["epsilon_schedule"], *partition
+    )
 
-            if any(episode_of_env[i] < episodes for i in np.flatnonzero(dones)):
-                # Every replica ships every round; in lockstep the ship is
-                # also the snapshot ack that keeps each replica's next
-                # read at exactly version == round (see _hero_actor_main).
-                payload = RolloutPayload(
-                    round_index=round_index,
-                    version_used=version,
-                    data={"rows": rows},
-                    rng_states=(
-                        [encode_rng_state(algo._rng)] if lockstep else []
-                    ),
-                    actor_id=actor_id,
-                )
-                try:
-                    queue.put(payload, abort=_parent_abort)
-                except QueueClosed:
-                    break
-                rows = []
-                round_index += 1
-                need_snapshot = True
-            elif completed_budget >= budget_count:
-                # All owned budget episodes done: keep stepping (see the
-                # docstring) but stop accumulating unshippable rows.
-                rows = []
+    def collect() -> dict:
+        rows = []
+        while True:
+            rows.append(worker.step())
+            if any(episode < episodes for episode in rows[-1]["episodes"]):
+                return {"rows": rows}
 
-            # Mirror the learner's episode accounting (the learner has no
-            # envs; the actor has no logger — both follow the same rule).
-            for i in np.flatnonzero(dones):
-                if int(episode_of_env[i]) < episodes:
-                    completed_budget += 1
-                if next_slot < len(my_episodes):
-                    nxt = int(my_episodes[next_slot])
-                    episode_of_env[i] = nxt
-                    obs[i] = vec_env.reset_env(i, seed=int(reset_seeds[nxt]))
-                else:
-                    episode_of_env[i] = episodes  # out of budget: never counted
-                next_slot += 1
-    except Exception:
-        try:
-            queue.put(
-                ActorError(
-                    message=traceback.format_exc(),
-                    actor_id=spec.get("actor_id", -1),
-                ),
-                timeout=5.0,
-            )
-        except Exception:
-            pass
-    finally:
-        if vec_env is not None:
-            vec_env.close()
-        queue.release()
-        server.release()
+    return _Rollout(bound, [algo._rng], collect, lambda: worker.budget_left == 0)
 
 
 def train_marl_async(
@@ -816,46 +696,33 @@ def train_marl_async(
     episodes: int,
     seed: int,
     epsilon_schedule,
-    updates_per_episode: int,
     logger: MetricLogger,
     prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    eval_vec_env,
-    update_fn,
+    learn,
     execution: Execution,
     engine=None,
 ) -> MetricLogger:
-    """IDQN training on the async actor–learner stack.
+    """IDQN training with its rollout phase in async actor processes.
 
-    Drop-in for ``_train_marl_vectorized_loop`` (same argument roles; the
-    caller keeps ownership of ``eval_vec_env``): each of the
-    ``execution.num_actors`` actor processes steps a fresh replica of
-    ``vec_env``'s configuration, the learner replays the shipped
-    transition rows into its own replay buffers and runs the
-    update/logging/eval sequence under the identical episode accounting.
-    Lockstep fan-out replicates collection (only the round-robin owner
-    ships, so results are bitwise independent of ``num_actors``);
+    ``learn`` is ``train_marl_vectorized``'s learner; it pulls the rows
+    each round ships.  Each of the ``execution.num_actors`` actor
+    processes steps a fresh replica of ``vec_env``'s configuration through
+    a :class:`MarlRolloutWorker`, and every row carries the episode index
+    each finished env was running, so the learner needs no per-actor
+    episode accounting of its own.  Lockstep fan-out replicates
+    collection (results are bitwise independent of ``num_actors``);
     staleness fan-out stride-partitions the episode universe across
     actors for real collection parallelism.
     """
-    max_staleness = execution.max_staleness
     num_actors = execution.num_actors
+    lockstep = execution.max_staleness == 0
     ids = algorithm.agent_ids
     members = [algorithm.q_networks[a].trunk for a in ids]
     impl = getattr(engine, "_impl", None)
     fused_impl = impl if isinstance(impl, IDQNUpdateEngine) else None
-    export = _make_exporter(members, fused_impl.opt._flat if fused_impl else None)
-
-    lockstep = max_staleness == 0
-    server = ParameterServer(
-        {"q": family_vector_size(members)}, num_rngs=1, dtype=family_dtype(members)
-    )
-    queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
-    actor_streams = (
-        None if lockstep else spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
-    )
+    actor_streams = None if lockstep else spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
     shared_spec = {
+        "build": _idqn_rollout,
         "agent_ids": list(ids),
         "obs_dim": algorithm.obs_dim,
         "num_actions": algorithm.num_actions,
@@ -867,154 +734,28 @@ def train_marl_async(
         "episodes": episodes,
         "seed": seed,
         "epsilon_schedule": epsilon_schedule,
-        "max_staleness": max_staleness,
+        "max_staleness": execution.max_staleness,
         "num_actors": num_actors,
         "dtype": np.dtype(get_default_dtype()).name,
     }
-    server.publish({"q": export()}, np.stack([encode_rng_state(algorithm._rng)]))
-    processes = []
-    for k in range(num_actors):
-        spec = dict(
+    specs = [
+        dict(
             shared_spec,
             actor_id=k,
-            actor_rng=(
-                None if lockstep else encode_rng_state(actor_streams[k])
-            ),
+            actor_rng=None if lockstep else encode_rng_state(actor_streams[k]),
         )
-        processes.append(
-            _CTX.Process(
-                target=_idqn_actor_main,
-                args=(spec, server, queues[k]),
-                name=f"idqn-actor-{k}",
-            )
-        )
-    for process in processes:
-        process.start()
-
-    try:
-        n = vec_env.num_envs
-        # Mirror each collecting actor's episode accounting (one shared
-        # mirror in lockstep: the replicas all walk the full universe).
-        part_actors = 1 if lockstep else num_actors
-        mirrors = []
-        for k in range(part_actors):
-            _, mine = _idqn_episode_plan(episodes, n, part_actors, k)
-            mirrors.append(
-                {"mine": mine, "episode_of_env": mine[:n].copy(), "next_slot": n}
-            )
-        pending: dict[int, dict] = {}
-        next_to_log = 0
-        merged = 0
-        abort = _actor_abort(processes)
-        fan_in = ActorFanIn(queues)
-        while next_to_log < episodes:
-            if lockstep:
-                # Drain one payload per replica, in rotation — the
-                # lockstep barrier (see train_hero_async): each ship acks
-                # its replica's snapshot consumption, so every replica
-                # reads exactly version == round.  The round owner's copy
-                # is replayed; the rest are bit-identical acks.
-                round_payloads = []
-                for _ in range(num_actors):
-                    round_payloads.append(
-                        _check_payload(
-                            fan_in.get(expected=merged % num_actors, abort=abort)
-                        )
-                    )
-                    merged += 1
-                round_idx = merged // num_actors - 1
-                payload = round_payloads[round_idx % num_actors]
-                load_rng_state(algorithm._rng, payload.rng_states[0])
-            else:
-                payload = _check_payload(fan_in.get(abort=abort))
-                merged += 1
-                staleness = float(
-                    max(payload.round_index - payload.version_used, 0)
-                )
-                logger.log(
-                    f"{prefix}/snapshot_staleness", staleness, merged - 1
-                )
-                logger.log(
-                    f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
-                    staleness,
-                    payload.round_index,
-                )
-            mirror = mirrors[0] if lockstep else mirrors[payload.actor_id]
-            episode_of_env = mirror["episode_of_env"]
-            for row in payload.data["rows"]:
-                algorithm.observe_batch(
-                    row["obs"],
-                    row["actions"],
-                    row["rewards"],
-                    row["next_obs"],
-                    row["dones"],
-                )
-                for i in np.flatnonzero(row["dones"]):
-                    episode = int(episode_of_env[i])
-                    algorithm.end_episode()
-                    if episode < episodes:
-                        losses = None
-                        for _ in range(updates_per_episode):
-                            losses = update_fn()
-                        summary = row["summaries"][int(i)]
-                        entry = {
-                            "metrics": {
-                                f"{prefix}/episode_reward": summary["episode_reward"],
-                                f"{prefix}/collision_rate": summary["collision"],
-                                f"{prefix}/merge_success_rate": summary[
-                                    "merge_success_rate"
-                                ],
-                                f"{prefix}/mean_speed": summary["mean_speed"],
-                            },
-                            "losses": {
-                                f"{prefix}/{name}": value
-                                for name, value in (losses or {}).items()
-                            },
-                            "eval": None,
-                        }
-                        if eval_every and (
-                            episode % eval_every == 0 or episode == episodes - 1
-                        ):
-                            eval_metrics = evaluate_marl_vectorized(
-                                eval_vec_env,
-                                algorithm,
-                                episodes=eval_episodes,
-                                seed=seed + 500 + episode,
-                            )
-                            entry["eval"] = {
-                                f"{prefix}/eval_episode_reward": eval_metrics[
-                                    "episode_reward"
-                                ],
-                                f"{prefix}/eval_collision_rate": eval_metrics[
-                                    "collision_rate"
-                                ],
-                                f"{prefix}/eval_merge_success_rate": eval_metrics[
-                                    "success_rate"
-                                ],
-                                f"{prefix}/eval_mean_speed": eval_metrics[
-                                    "mean_speed"
-                                ],
-                            }
-                        pending[episode] = entry
-                        while next_to_log in pending:
-                            flushed = pending.pop(next_to_log)
-                            logger.log_many(flushed["metrics"], next_to_log)
-                            for name, value in flushed["losses"].items():
-                                logger.log(name, value, next_to_log)
-                            if flushed["eval"]:
-                                logger.log_many(flushed["eval"], next_to_log)
-                            next_to_log += 1
-                    slot = mirror["next_slot"]
-                    if slot < len(mirror["mine"]):
-                        episode_of_env[i] = int(mirror["mine"][slot])
-                    else:
-                        episode_of_env[i] = episodes  # out of budget
-                    mirror["next_slot"] += 1
-            if next_to_log < episodes:
-                server.publish(
-                    {"q": export()}, np.stack([encode_rng_state(algorithm._rng)])
-                )
-        algorithm.epsilon = float(epsilon_schedule(episodes - 1))
-        return logger
-    finally:
-        _shutdown(server, queues, processes)
+        for k in range(num_actors)
+    ]
+    return _run_actors(
+        "idqn",
+        specs,
+        exporters={
+            "q": _make_exporter(members, fused_impl.opt._flat if fused_impl else None)
+        },
+        rngs=[algorithm._rng],
+        execution=execution,
+        logger=logger,
+        prefix=prefix,
+        unpack=lambda payload: payload.data["rows"],
+        learn=learn,
+    )

@@ -78,6 +78,52 @@ def _scripted_policy_params(policy: ScriptedPolicy) -> tuple:
     return ()
 
 
+def fast_path_blocker(envs: Sequence[CooperativeLaneChangeEnv]) -> str | None:
+    """Why the stacked fast path cannot be used (None when it can).
+
+    The fast path mirrors the scalar arithmetic elementwise, so it is
+    only valid when every env of the batch shares a configuration those
+    kernels can express: feature observations, identical scenario /
+    reward / track parameters, and a scripted policy with a vectorized
+    kernel (:class:`SlowLeader`, :class:`LaneKeepingCruiser`,
+    :class:`StationaryObstacle`).
+    """
+    template = envs[0]
+    for env in envs:
+        if type(env) is not CooperativeLaneChangeEnv:
+            return (
+                f"env type {type(env).__name__} is not exactly "
+                "CooperativeLaneChangeEnv"
+            )
+        if env.scenario != template.scenario or env.rewards != template.rewards:
+            return "envs differ in scenario or reward configuration"
+        if env.scenario.observation_mode != "features":
+            return (
+                f"observation_mode={env.scenario.observation_mode!r} "
+                "has no vectorized kernel (need 'features')"
+            )
+        policy = env._scripted_policy
+        if type(policy) not in (SlowLeader, LaneKeepingCruiser, StationaryObstacle):
+            return (
+                f"scripted policy {type(policy).__name__} has no "
+                "vectorized kernel"
+            )
+        if type(policy) is not type(template._scripted_policy):
+            return "envs differ in scripted policy type"
+        if _scripted_policy_params(policy) != _scripted_policy_params(
+            template._scripted_policy
+        ):
+            return "envs differ in scripted policy parameters"
+        track, ref = env.track, template.track
+        if (
+            track.length != ref.length
+            or track.num_lanes != ref.num_lanes
+            or track.lane_width != ref.lane_width
+        ):
+            return "envs differ in track geometry"
+    return None
+
+
 class VectorEnv(VectorStepper):
     """Synchronous batch of ``N`` cooperative lane-change environments.
 
@@ -125,7 +171,7 @@ class VectorEnv(VectorStepper):
         self.high_level_obs_dim = template.high_level_obs_dim
         self.low_level_obs_dim = template.low_level_obs_dim
 
-        self._fallback_reason = self._fast_path_blocker()
+        self._fallback_reason = fast_path_blocker(self._envs)
         self._fast = self._fallback_reason is None
         self._allocate_state()
         # Materialise vehicles once so static attributes (radii, speed caps)
@@ -164,51 +210,6 @@ class VectorEnv(VectorStepper):
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _fast_path_blocker(self) -> str | None:
-        """Why the stacked fast path cannot be used (None when it can).
-
-        The fast path mirrors the scalar arithmetic elementwise, so it is
-        only valid when every wrapped env shares a configuration those
-        kernels can express: feature observations, identical scenario /
-        reward / track parameters, and a scripted policy with a vectorized
-        kernel (:class:`SlowLeader`, :class:`LaneKeepingCruiser`,
-        :class:`StationaryObstacle`).
-        """
-        template = self._envs[0]
-        for env in self._envs:
-            if type(env) is not CooperativeLaneChangeEnv:
-                return (
-                    f"env type {type(env).__name__} is not exactly "
-                    "CooperativeLaneChangeEnv"
-                )
-            if env.scenario != template.scenario or env.rewards != template.rewards:
-                return "envs differ in scenario or reward configuration"
-            if env.scenario.observation_mode != "features":
-                return (
-                    f"observation_mode={env.scenario.observation_mode!r} "
-                    "has no vectorized kernel (need 'features')"
-                )
-            policy = env._scripted_policy
-            if type(policy) not in (SlowLeader, LaneKeepingCruiser, StationaryObstacle):
-                return (
-                    f"scripted policy {type(policy).__name__} has no "
-                    "vectorized kernel"
-                )
-            if type(policy) is not type(template._scripted_policy):
-                return "envs differ in scripted policy type"
-            if _scripted_policy_params(policy) != _scripted_policy_params(
-                template._scripted_policy
-            ):
-                return "envs differ in scripted policy parameters"
-            track, ref = env.track, template.track
-            if (
-                track.length != ref.length
-                or track.num_lanes != ref.num_lanes
-                or track.lane_width != ref.lane_width
-            ):
-                return "envs differ in track geometry"
-        return None
-
     @property
     def fast_path(self) -> bool:
         """Whether steps run on the stacked-array path (vs scalar fallback)."""

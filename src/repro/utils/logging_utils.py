@@ -34,6 +34,26 @@ def summarise_eval_episodes(
     }
 
 
+def episode_metrics(prefix: str, summary: dict) -> dict[str, float]:
+    """An episode summary as the paper's four training series under ``prefix``."""
+    return {
+        f"{prefix}/episode_reward": summary["episode_reward"],
+        f"{prefix}/collision_rate": summary["collision"],
+        f"{prefix}/merge_success_rate": summary["merge_success_rate"],
+        f"{prefix}/mean_speed": summary["mean_speed"],
+    }
+
+
+def eval_metrics(prefix: str, metrics: dict) -> dict[str, float]:
+    """:func:`summarise_eval_episodes` output as the ``{prefix}/eval_*`` series."""
+    return {
+        f"{prefix}/eval_episode_reward": metrics["episode_reward"],
+        f"{prefix}/eval_collision_rate": metrics["collision_rate"],
+        f"{prefix}/eval_merge_success_rate": metrics["success_rate"],
+        f"{prefix}/eval_mean_speed": metrics["mean_speed"],
+    }
+
+
 class MetricLogger:
     """Append-only store of named scalar time series."""
 

@@ -91,11 +91,16 @@ def test_any_fanout_consumes_the_same_budget_seed_set(stress_round):
                 assert consumed == reference, f"num_actors={num_actors} diverged"
 
 
-@pytest.mark.parametrize("num_actors", [1, 2, 3])
-def test_idqn_staleness_run_logs_each_episode_once(num_actors):
+@pytest.mark.parametrize(
+    "num_actors, eval_every",
+    [(1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2)],
+    ids=["1", "2", "3", "1-eval2", "2-eval2", "3-eval2"],
+)
+def test_idqn_staleness_run_logs_each_episode_once(num_actors, eval_every):
     """End to end: partitioned collection at any width walks the same
     episode universe — every budget episode logged exactly once, in
-    order, with nothing dropped or duplicated past the budget."""
+    order, with nothing dropped or duplicated past the budget — and the
+    interleaved evals land on the synchronous loop's episodes."""
     vec_env = make_baseline_vector_env(2, scenario=SCENARIO)
     algo = make_baseline("idqn", vec_env, seed=3, batch_size=16, buffer_capacity=500)
     try:
@@ -104,7 +109,7 @@ def test_idqn_staleness_run_logs_each_episode_once(num_actors):
             algo,
             episodes=4,
             seed=5,
-            eval_every=0,
+            eval_every=eval_every,
             execution=Execution(
                 num_envs=2, async_actors=True, max_staleness=2, num_actors=num_actors
             ),
@@ -112,3 +117,8 @@ def test_idqn_staleness_run_logs_each_episode_once(num_actors):
     finally:
         vec_env.close()
     np.testing.assert_array_equal(logger.steps("idqn/episode_reward"), np.arange(4))
+    if eval_every:
+        # The synchronous cadence: every eval_every-th episode plus the last.
+        np.testing.assert_array_equal(
+            logger.steps("idqn/eval_episode_reward"), [0, 2, 3]
+        )

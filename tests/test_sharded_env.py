@@ -243,11 +243,15 @@ def test_fallback_reason_forwarded_from_workers():
         assert obs["lidar"].shape[0] == 2
 
 
-def test_train_hero_warns_on_scalar_fallback():
-    """The vectorized HERO loop must say why --num-envs is not helping."""
+@pytest.mark.parametrize("async_actors", [False, True], ids=["sync", "async"])
+def test_train_hero_warns_on_scalar_fallback(async_actors):
+    """The vectorized HERO loop must say why --num-envs is not helping,
+    with or without async actors, even when evals are off."""
     env = CooperativeLaneChangeEnv(scenario=SCENARIO, scripted_policy=_CrawlPolicy())
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    config = TrainingConfig(seed=0, execution=Execution(num_envs=2))
+    config = TrainingConfig(
+        seed=0, execution=Execution(num_envs=2, async_actors=async_actors)
+    )
     config.scenario = SCENARIO
     with pytest.warns(RuntimeWarning, match="scalar fallback"):
         train_hero(env, team, episodes=1, config=config, eval_every=0)
