@@ -10,8 +10,10 @@ contract:
   **bit-for-bit identical** to the synchronous vectorized loop, for the
   plain and the fused-update gradient paths;
 * staleness mode (``--max-staleness > 0``): the run must log every
-  episode of the budget exactly once, in episode order, and a
-  ``snapshot_staleness`` series bounded by the budget.
+  episode of the budget exactly once, in episode order, its greedy evals
+  at the synchronous cadence (an eval the learner deferred into the
+  actors' next round must still land), and a ``snapshot_staleness``
+  series bounded by the budget.
 
 Usage::
 
@@ -37,6 +39,7 @@ from repro.core import HeroTeam, train_hero
 from repro.envs import CooperativeLaneChangeEnv, make_baseline_vector_env
 
 SCENARIO = ScenarioConfig(episode_length=10)
+EVAL_EVERY = 2
 
 
 def _hero_logger(
@@ -61,7 +64,7 @@ def _hero_logger(
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(seed), batch_size=32)
     return train_hero(
-        env, team, episodes=episodes, config=config, eval_every=2, eval_episodes=2
+        env, team, episodes=episodes, config=config, eval_every=EVAL_EVERY, eval_episodes=2
     )
 
 
@@ -85,7 +88,7 @@ def _idqn_logger(
             algo,
             episodes=episodes,
             seed=seed,
-            eval_every=2,
+            eval_every=EVAL_EVERY,
             eval_episodes=2,
             execution=Execution(
                 num_envs=num_envs,
@@ -140,8 +143,8 @@ def check_lockstep(
 def check_staleness(
     train, name: str, prefix: str, episodes, num_envs, seed, budget: int, num_actors
 ) -> None:
-    """Staleness mode must log each budget episode once, in order, and
-    bounded staleness."""
+    """Staleness mode must log each budget episode once, in order, its
+    evals at the synchronous cadence, and bounded staleness."""
     logger = train(
         episodes,
         num_envs,
@@ -155,6 +158,13 @@ def check_staleness(
         raise SystemExit(
             f"{name}: staleness run logged episodes {recorded.tolist()}, "
             f"expected each of 0..{episodes - 1} once, in order"
+        )
+    eval_steps = logger.steps(f"{prefix}/eval_episode_reward")
+    cadence = [e for e in range(episodes) if e % EVAL_EVERY == 0 or e == episodes - 1]
+    if not np.array_equal(eval_steps, cadence):
+        raise SystemExit(
+            f"{name}: staleness run logged evals at {eval_steps.tolist()}, "
+            f"expected the synchronous cadence {cadence}"
         )
     staleness = logger.values(f"{prefix}/snapshot_staleness")
     if staleness.size == 0:

@@ -408,7 +408,7 @@ def train_marl_vectorized(
                 engine=engine,
             )
         worker = MarlRolloutWorker(vec_env, algorithm, episodes, seed, epsilon_schedule)
-        return learn(lambda: [worker.step()])
+        return learn(worker.collect)
     finally:
         if eval_vec_env is not None:
             eval_vec_env.close()
@@ -474,6 +474,16 @@ class MarlRolloutWorker:
             seeds=[int(self._reset_seeds[e]) for e in self._episode_of_env]
         )
 
+    def collect(self, while_waiting=None) -> list[dict]:
+        """One :meth:`step` as a learner batch (the synchronous ``collect``).
+
+        ``while_waiting`` (a deferred eval) runs first: a local worker has
+        nothing to overlap it with.
+        """
+        if while_waiting is not None:
+            while_waiting()
+        return [self.step()]
+
     def step(self) -> dict:
         algorithm = self.algorithm
         if hasattr(algorithm, "epsilon"):
@@ -486,7 +496,11 @@ class MarlRolloutWorker:
             algorithm.epsilon = float(eps[0]) if len(eps) == 1 else eps
         obs = self._obs
         actions = algorithm.act_batch(obs, explore=True)
-        next_obs, rewards, dones, infos = self.vec_env.step(actions)
+        # The next plan episodes' seeds, in the order finished envs take them.
+        upcoming = self._plan[self._next_slot : self._next_slot + len(obs)]
+        next_obs, rewards, dones, infos = self.vec_env.step(
+            actions, reset_seeds=self._reset_seeds[upcoming]
+        )
         finished = np.flatnonzero(dones)
         observed_next = next_obs
         if finished.size:
@@ -508,11 +522,8 @@ class MarlRolloutWorker:
             if self._episode_of_env[i] < self.episodes:
                 self.budget_left -= 1
             if self._next_slot < len(self._plan):
-                episode = int(self._plan[self._next_slot])
-                self._episode_of_env[i] = episode
-                next_obs[i] = self.vec_env.reset_env(
-                    i, seed=int(self._reset_seeds[episode])
-                )
+                # next_obs[i] already holds this episode's seeded reset.
+                self._episode_of_env[i] = int(self._plan[self._next_slot])
             else:
                 self._episode_of_env[i] = self.episodes  # never counted
             self._next_slot += 1
@@ -537,17 +548,47 @@ def _learn_marl(
 ) -> MetricLogger:
     """The learner of :func:`train_marl_vectorized`, fed by any row source.
 
-    ``collect()`` returns the next :meth:`MarlRolloutWorker.step` rows —
-    one local step, or one round shipped by async actors.  Each row is
-    observed; each finished env runs ``end_episode`` and, if its episode
-    is in the budget, the update budget and (on the eval cadence) a
-    greedy evaluation.  Completed episodes are logged strictly in
-    episode-index order so the series match the scalar loop's.
+    ``collect(while_waiting=None)`` returns the next
+    :meth:`MarlRolloutWorker.step` rows — one local step, or one round
+    shipped by async actors — and runs ``while_waiting`` before it blocks
+    on them.  Each row is observed; each finished env runs
+    ``end_episode`` and, if its episode is in the budget, the update
+    budget and (on the eval cadence) a greedy evaluation.  An eval after
+    which its batch runs no further update is handed to the next
+    ``collect`` as ``while_waiting``: the weights it reads cannot change
+    before then, so async actors collect while it runs.  Completed
+    episodes are logged strictly in episode-index order so the series
+    match the scalar loop's.
     """
     pending: dict[int, dict] = {}
     next_to_log = 0
-    while next_to_log < episodes:
-        for row in collect():
+    seen = 0  # budget episodes processed
+    deferred: list = []  # evals after their batch's last update
+
+    def finish(episode: int, entry: dict, evaluate: bool) -> None:
+        nonlocal next_to_log
+        if evaluate:
+            result = evaluate_marl_vectorized(
+                eval_vec_env,
+                algorithm,
+                episodes=eval_episodes,
+                seed=seed + 500 + episode,
+            )
+            entry.update(eval_metrics(prefix, result))
+        pending[episode] = entry
+        while next_to_log in pending:
+            logger.log_many(pending.pop(next_to_log), next_to_log)
+            next_to_log += 1
+
+    def run_deferred() -> None:
+        for thunk in deferred:
+            thunk()
+        deferred.clear()
+
+    while seen < episodes:
+        rows = collect(while_waiting=run_deferred if deferred else None)
+        left = sum(e < episodes for row in rows for e in row["episodes"])
+        for row in rows:
             algorithm.observe_batch(
                 row["obs"], row["actions"], row["rewards"], row["next_obs"], row["dones"]
             )
@@ -555,6 +596,8 @@ def _learn_marl(
                 algorithm.end_episode()
                 if episode >= episodes:
                     continue
+                seen += 1
+                left -= 1
                 losses = None
                 for _ in range(updates_per_episode):
                     losses = update_fn()
@@ -562,20 +605,14 @@ def _learn_marl(
                 entry.update(
                     {f"{prefix}/{name}": value for name, value in (losses or {}).items()}
                 )
-                if eval_every and (
+                evaluate = bool(eval_every) and (
                     episode % eval_every == 0 or episode == episodes - 1
-                ):
-                    result = evaluate_marl_vectorized(
-                        eval_vec_env,
-                        algorithm,
-                        episodes=eval_episodes,
-                        seed=seed + 500 + episode,
-                    )
-                    entry.update(eval_metrics(prefix, result))
-                pending[episode] = entry
-                while next_to_log in pending:
-                    logger.log_many(pending.pop(next_to_log), next_to_log)
-                    next_to_log += 1
+                )
+                if evaluate and not (left and updates_per_episode):
+                    deferred.append(functools.partial(finish, episode, entry, True))
+                else:
+                    finish(episode, entry, evaluate)
+    run_deferred()
     if hasattr(algorithm, "epsilon"):
         algorithm.epsilon = float(epsilon_schedule(episodes - 1))
     return logger
@@ -644,7 +681,10 @@ def evaluate_marl_vectorized(
     remaining = episodes
     while remaining:
         actions = algorithm.act_batch(obs, explore=False)
-        obs, _, dones, infos = vec_env.step(actions)
+        # Finished envs start the next episodes, seeded, in env order.
+        obs, _, dones, infos = vec_env.step(
+            actions, reset_seeds=reset_seeds[next_to_start : next_to_start + n]
+        )
         for i in np.flatnonzero(dones):
             episode = int(episode_of_env[i])
             if episode < episodes:
@@ -655,7 +695,5 @@ def evaluate_marl_vectorized(
                 speeds[episode] = summary["mean_speed"]
                 remaining -= 1
             episode_of_env[i] = next_to_start
-            if next_to_start < episodes:
-                obs[i] = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
             next_to_start += 1
     return summarise_eval_episodes(rewards, collisions, successes, speeds)

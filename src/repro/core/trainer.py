@@ -127,14 +127,18 @@ class BatchedRolloutWorker:
         epsilon_schedule,
         explore: bool = True,
         max_steps: int | None = None,
+        while_waiting=None,
     ) -> list[dict]:
         """Step the vector env until at least one episode finishes.
 
         ``epsilon_schedule`` maps an episode index to an exploration rate.
         Returns the finished episodes' stats (see
         :meth:`BatchedHeroRunner.after_step`) with an ``"episode_index"``
-        entry added.
+        entry added.  ``while_waiting`` (a learner's deferred eval) runs
+        first: a local worker has nothing to overlap it with.
         """
+        if while_waiting is not None:
+            while_waiting()
         if self._obs is None:
             self.reset()
         steps = 0
@@ -279,8 +283,10 @@ def _scalar_hero_collect(env, team: HeroTeam, rng, epsilon_schedule):
     """``collect`` for the scalar loop: one full episode per call."""
     episode = 0
 
-    def collect() -> list[dict]:
+    def collect(while_waiting=None) -> list[dict]:
         nonlocal episode
+        if while_waiting is not None:
+            while_waiting()
         epsilon = epsilon_schedule(episode)
         episode += 1
         obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
@@ -325,18 +331,35 @@ def _learn_hero(
 ) -> MetricLogger:
     """Algorithm 1's per-episode learn step, fed by any rollout source.
 
-    ``collect()`` returns the stats of the episodes that finished since
-    its last call (``episode`` summary, ``epsilon``,
-    ``lane_change_attempts``): one scalar episode, one
+    ``collect(while_waiting=None)`` returns the stats of the episodes that
+    finished since its last call (``episode`` summary, ``epsilon``,
+    ``lane_change_attempts``) — one scalar episode, one
     :meth:`BatchedRolloutWorker.collect`, or one round replayed from async
-    actors.  Each finished episode runs the gradient-update budget, logs
-    its metrics and, on the eval cadence, a greedy evaluation through
+    actors — and runs ``while_waiting`` before it blocks on them.  Each
+    finished episode runs the gradient-update budget, logs its metrics
+    and, on the eval cadence, a greedy evaluation through
     ``evaluator(episodes, seed)``, all under the completed-episode count.
+    An eval after which its batch runs no further update is handed to the
+    next ``collect`` as ``while_waiting``: the weights it reads cannot
+    change before then, so async actors collect while it runs.
     """
     completed = 0
     losses: dict[str, float] = {}
+    deferred: list = []  # evals after their batch's last update
+
+    def evaluate(step: int) -> None:
+        result = evaluator(eval_episodes, seed + 500 + step)
+        logger.log_many(eval_metrics(metric_prefix, result), step)
+
+    def run_deferred() -> None:
+        for thunk in deferred:
+            thunk()
+        deferred.clear()
+
     while completed < episodes:
-        for stat in collect():
+        stats = collect(while_waiting=run_deferred if deferred else None)
+        stats = stats[: episodes - completed]
+        for k, stat in enumerate(stats):
             for _ in range(n_updates):
                 losses = update_fn()
             logger.log_many(
@@ -362,11 +385,12 @@ def _learn_hero(
             if eval_every and (
                 completed % eval_every == 0 or completed == episodes - 1
             ):
-                result = evaluator(eval_episodes, seed + 500 + completed)
-                logger.log_many(eval_metrics(metric_prefix, result), completed)
+                if n_updates and k < len(stats) - 1:
+                    evaluate(completed)
+                else:
+                    deferred.append(functools.partial(evaluate, completed))
             completed += 1
-            if completed >= episodes:
-                break
+    run_deferred()
     return logger
 
 
@@ -551,7 +575,10 @@ def evaluate_hero_vectorized(
     remaining = episodes
     while remaining:
         actions = runner.act(obs, epsilon=0.0, explore=False)
-        obs, _, dones, infos = vec_env.step(actions)
+        # Finished envs start the next episodes, seeded, in env order.
+        obs, _, dones, infos = vec_env.step(
+            actions, reset_seeds=reset_seeds[next_to_start : next_to_start + n]
+        )
         for i in np.flatnonzero(dones):
             episode = int(episode_of_env[i])
             if episode < episodes:
@@ -563,9 +590,5 @@ def evaluate_hero_vectorized(
                 remaining -= 1
             runner.start_episode(i)
             episode_of_env[i] = next_to_start
-            if next_to_start < episodes:
-                row = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
-                for key in obs:
-                    obs[key][i] = row[key]
             next_to_start += 1
     return summarise_eval_episodes(rewards, collisions, successes, speeds)

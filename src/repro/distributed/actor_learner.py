@@ -299,9 +299,11 @@ def _run_actors(
 
     ``exporters`` map each snapshot slot to its flat-vector exporter;
     ``rngs`` are the learner generators the snapshot's RNG sidecar
-    carries.  ``learn`` gets the ``collect()`` it pulls from: publish the
-    learner's current snapshot (version 0, published before the actors
-    start, serves the first round), drain one round and return
+    carries.  ``learn`` gets the ``collect(while_waiting=None)`` it pulls
+    from: publish the learner's current snapshot (version 0, published
+    before the actors start, serves the first round), run
+    ``while_waiting`` — the learner's deferred eval, overlapping the
+    actors' next round — then drain one round and return
     ``unpack(payload)``.
 
     Lockstep drains one payload per replica, in rotation, before the next
@@ -340,10 +342,12 @@ def _run_actors(
         fan_in = ActorFanIn(queues)
         merged = 0  # payloads consumed; the global round counter in lockstep
 
-        def collect():
+        def collect(while_waiting=None):
             nonlocal merged
             if merged:
                 publish({slot: export() for slot, export in exporters.items()})
+            if while_waiting is not None:
+                while_waiting()
             if lockstep:
                 round_payloads = []
                 for _ in range(num_actors):

@@ -37,6 +37,10 @@ _SEQ, _VERSION, _STOP = 0, 1, 2
 _HEADER_SLOTS = 3
 _HEADER_BYTES = _HEADER_SLOTS * 8
 
+# Read poll backoff: start near-spin so an actor waiting on the next
+# publish wakes within ~0.1 ms, double up to the cap so a long wait costs
+# no CPU (the same schedule as ActorFanIn's merge).
+_POLL_MIN_SLICE = 1e-4
 _POLL_SLICE = 0.01
 
 
@@ -196,6 +200,7 @@ class ParameterServer:
         ``(version, {slot: vector copy}, rng_words copy)``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        delay = _POLL_MIN_SLICE
         while True:
             version = int(self._header[_VERSION])
             if version >= min_version:
@@ -213,7 +218,8 @@ class ParameterServer:
                 raise TimeoutError(
                     f"no snapshot >= version {min_version} within {timeout:.1f}s"
                 )
-            time.sleep(_POLL_SLICE)
+            time.sleep(delay)
+            delay = min(delay * 2.0, _POLL_SLICE)
 
     def _try_read(self, version: int):
         """Seqlock read of one version's buffer; None on a torn read."""

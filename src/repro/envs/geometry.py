@@ -14,6 +14,8 @@ for rendering and for lidar geometry fidelity tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -74,8 +76,8 @@ class Track:
     def lane_of(self, d: float) -> int:
         """Lane index containing lateral offset ``d`` (clamped to the road)."""
         half_span = self.num_lanes * self.lane_width / 2.0
-        index = int(np.floor((d + half_span) / self.lane_width))
-        return int(np.clip(index, 0, self.num_lanes - 1))
+        index = math.floor((d + half_span) / self.lane_width)
+        return min(max(index, 0), self.num_lanes - 1)
 
     def deviation_from_lane_center(self, d: float, lane_id: int | None = None) -> float:
         """Absolute lateral deviation from a lane centre (own lane if None)."""

@@ -106,6 +106,12 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self, seed: int | None = None) -> dict[str, np.ndarray]:
+        self._spawn(seed)
+        return {agent: self._observe(agent) for agent in self.agents}
+
+    def _spawn(self, seed: int | None = None) -> None:
+        """Place every vehicle for a new episode (``reset`` without the
+        observation); the vectorized env observes spawned rows in batch."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         cfg = self.scenario
@@ -147,7 +153,6 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
             self._vehicles[agent] = vehicle
             if lane == 0:
                 self._blocked_agents.add(agent)
-        return {agent: self._observe(agent) for agent in self.agents}
 
     # ------------------------------------------------------------------
     # Stepping

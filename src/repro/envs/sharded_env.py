@@ -28,7 +28,13 @@ Equivalence invariant
 * seeded resets (:meth:`reset`, :meth:`reset_env`) forward the caller's
   per-env seeds unchanged — training loops that derive them from
   :func:`repro.utils.seeding.episode_reset_seeds` therefore replay the
-  identical seed stream at any ``(N, W)``.
+  identical seed stream at any ``(N, W)``;
+* :meth:`step`'s ``reset_seeds`` queue is assigned to finished envs in
+  *global* env order, which no single worker can see: workers auto-reset
+  unseeded as usual, then the parent re-resets the seeded rows with one
+  batched dispatch.  A seeded reset replaces the env's RNG, so the
+  result is bitwise the single-process engine's one seeded reset, at the
+  cost of a second round trip on steps that finish a seeded episode.
 
 ``tests/test_sharded_env.py`` locks the invariant for ``W ∈ {1, 2, 3}``
 across the scripted-traffic variants, including auto-resets.
@@ -75,8 +81,7 @@ __all__ = ["EnvReplicaFactory", "ShardedVectorEnv"]
 # semaphore — no pickled messages in the step loop).
 _CMD_STEP = 1
 _CMD_RESET = 2
-_CMD_RESET_ENV = 3
-_CMD_CLOSE = 4
+_CMD_CLOSE = 3
 
 _STATUS_OK = 0
 _STATUS_ERROR = 1
@@ -155,12 +160,12 @@ def _build_layout(
     entries: list[tuple[str, tuple[int, ...], str]] = [
         # Control plane.
         ("cmd", (w,), "int64"),
-        ("cmd_arg", (w, 2), "int64"),
         ("status", (w,), "int64"),
         ("msg", (w, _MSG_BYTES), "uint8"),
         ("fallback", (w, _MSG_BYTES), "uint8"),
         # Inputs.
         ("actions", (n, a, 2), float_dtype),
+        ("reset_rows", (n,), "uint8"),
         ("reset_seeds", (n,), "int64"),
         ("reset_has_seed", (n,), "uint8"),
         # Step outputs.
@@ -264,23 +269,15 @@ def _worker_step(views: dict[str, np.ndarray], vec: VectorEnv, lo: int, hi: int)
 
 
 def _worker_reset(views: dict[str, np.ndarray], vec: VectorEnv, lo: int, hi: int):
+    """Reset this shard's rows flagged in ``reset_rows``, in one batch."""
+    rows = np.flatnonzero(views["reset_rows"][lo:hi])
     seeds = [
-        int(seed) if has else None
-        for seed, has in zip(views["reset_seeds"][lo:hi], views["reset_has_seed"][lo:hi])
+        int(views["reset_seeds"][lo + i]) if views["reset_has_seed"][lo + i] else None
+        for i in rows
     ]
-    obs = vec.reset(seeds)
-    _publish_obs(views, obs, lo, hi)
-    _publish_state(views, vec, lo, hi)
-
-
-def _worker_reset_env(
-    views: dict[str, np.ndarray], vec: VectorEnv, lo: int, hi: int, worker_index: int
-):
-    i = int(views["cmd_arg"][worker_index, 0])
-    seed = int(views["reset_seeds"][i]) if views["cmd_arg"][worker_index, 1] else None
-    row = vec.reset_env(i - lo, seed=seed)
+    obs = vec._reset_rows(rows, seeds)
     for key in _OBS_KEYS:
-        views[f"obs_{key}"][i] = row[key]
+        views[f"obs_{key}"][lo + rows] = obs[key]
     _publish_state(views, vec, lo, hi)
 
 
@@ -350,8 +347,6 @@ def _shard_worker_main(
                     _worker_step(views, vec, lo, hi)
                 elif command == _CMD_RESET:
                     _worker_reset(views, vec, lo, hi)
-                elif command == _CMD_RESET_ENV:
-                    _worker_reset_env(views, vec, lo, hi, worker_index)
                 else:
                     raise RuntimeError(f"unknown command {command}")
             except Exception as exc:  # parent raises with shard context
@@ -561,12 +556,9 @@ class ShardedVectorEnv(VectorStepper):
                 return w
         raise IndexError(f"env index {i} out of range [0, {self.num_envs})")
 
-    def _dispatch(
-        self, command: int, workers: Sequence[int], args: tuple[int, int] = (0, 0)
-    ) -> None:
+    def _dispatch(self, command: int, workers: Sequence[int]) -> None:
         for w in workers:
             self._views["cmd"][w] = command
-            self._views["cmd_arg"][w] = args
             self._request[w].release()
         self._await(workers)
 
@@ -602,33 +594,39 @@ class ShardedVectorEnv(VectorStepper):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _dispatch_reset(self, rows: Sequence[int], seeds: Sequence[int | None]) -> None:
+        """Reset envs ``rows`` (``seeds[k]`` for ``rows[k]``) with one
+        dispatch to the workers owning them; results land in the views."""
+        views = self._views
+        views["reset_rows"][:] = 0
+        for i, seed in zip(rows, seeds):
+            views["reset_rows"][i] = 1
+            views["reset_has_seed"][i] = seed is not None
+            views["reset_seeds"][i] = 0 if seed is None else seed
+        self._dispatch(_CMD_RESET, sorted({self._shard_of(int(i)) for i in rows}))
+
     def reset(self, seeds: int | Sequence[int | None] | None = None) -> ObsBatch:
         """Reset every environment; same seed semantics as ``VectorEnv``."""
         self._assert_open()
-        seed_list = self._normalize_seeds(seeds)
-        for i, seed in enumerate(seed_list):
-            self._views["reset_has_seed"][i] = seed is not None
-            self._views["reset_seeds"][i] = 0 if seed is None else seed
-        self._dispatch(_CMD_RESET, range(self.num_workers))
+        self._dispatch_reset(range(self.num_envs), self._normalize_seeds(seeds))
         return {key: self._views[f"obs_{key}"].copy() for key in _OBS_KEYS}
 
     def reset_env(self, i: int, seed: int | None = None) -> dict[str, np.ndarray]:
         """Reset just environment ``i`` (optionally seeded); its obs rows."""
         self._assert_open()
-        w = self._shard_of(int(i))
-        self._views["reset_seeds"][i] = 0 if seed is None else int(seed)
-        self._dispatch(_CMD_RESET_ENV, [w], args=(int(i), int(seed is not None)))
+        self._dispatch_reset([int(i)], [None if seed is None else int(seed)])
         return {key: self._views[f"obs_{key}"][i].copy() for key in _OBS_KEYS}
 
     def step(
-        self, actions: np.ndarray
+        self, actions: np.ndarray, reset_seeds: Sequence[int | None] = ()
     ) -> tuple[ObsBatch, np.ndarray, np.ndarray, list[dict[str, Any]]]:
         """Advance every environment one step across all workers.
 
         Same contract as :meth:`VectorEnv.step`: stacked observations,
         shared team rewards/dones of shape ``(num_envs,)``, auto-reset
         rows with the finished episode's summary and terminal observation
-        in ``infos[i]``.
+        in ``infos[i]``, finished envs seeded from ``reset_seeds`` in env
+        order (re-reset after the step; see the module docstring).
         """
         self._assert_open()
         # Cast to the shm actions dtype (the compute dtype).  The worker
@@ -640,6 +638,15 @@ class ShardedVectorEnv(VectorStepper):
             raise ValueError(f"actions must have shape {expected}, got {actions.shape}")
         self._views["actions"][:] = actions
         self._dispatch(_CMD_STEP, range(self.num_workers))
+        if self.auto_reset and len(reset_seeds):
+            finished = np.flatnonzero(self._views["dones"])
+            seeded = [
+                (i, seed)
+                for i, seed in zip(finished, self._auto_reset_seeds(finished, reset_seeds))
+                if seed is not None
+            ]
+            if seeded:
+                self._dispatch_reset(*zip(*seeded))
 
         observations = {key: self._views[f"obs_{key}"].copy() for key in _OBS_KEYS}
         rewards = self._views["rewards"].copy()

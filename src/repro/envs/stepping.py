@@ -33,7 +33,11 @@ member                    contract
                           surface it in logs, never swallow it
 ``reset(seeds)``          reset all envs; stacked observation dict
 ``reset_env(i, seed)``    reset one env; its ``(num_agents, ...)`` obs rows
-``step(actions)``         ``(obs, rewards, dones, infos)`` with auto-reset
+``step(actions, ...)``    ``(obs, rewards, dones, infos)`` with auto-reset;
+                          with ``reset_seeds=``, the k-th env (in env order)
+                          that finishes resets with ``reset_seeds[k]``; past
+                          the end of the list (or on ``None``) it continues
+                          its own stream
 ``agent_d``               learning vehicles' exact lateral positions (n, a)
 ``agent_heading``         learning vehicles' exact heading errors (n, a)
 ``lane_ids``              post-step (pre-auto-reset) lane ids (n, a)
@@ -101,10 +105,28 @@ class VectorStepper:
         raise NotImplementedError
 
     def step(
-        self, actions: np.ndarray
+        self, actions: np.ndarray, reset_seeds: Sequence[int | None] = ()
     ) -> tuple[ObsBatch, np.ndarray, np.ndarray, list[dict[str, Any]]]:
         """Advance every environment one step (auto-reset on done)."""
         raise NotImplementedError
+
+    @staticmethod
+    def _auto_reset_seeds(
+        done_rows: np.ndarray, reset_seeds: Sequence[int | None]
+    ) -> list[int | None]:
+        """The seed each finished env auto-resets with, in env order.
+
+        The queue rule of :meth:`step`: the k-th finished env takes
+        ``reset_seeds[k]``; past the end of the list (or on a ``None``
+        entry) it continues its own RNG stream.  Callers pass the seeds of
+        the episodes they will start next, so one auto-reset replaces the
+        unseeded reset plus seeded re-reset they would otherwise pay.
+        """
+        return [
+            None if k >= len(reset_seeds) or reset_seeds[k] is None
+            else int(reset_seeds[k])
+            for k in range(len(done_rows))
+        ]
 
     def close(self) -> None:
         """Release engine resources; default engines hold none."""

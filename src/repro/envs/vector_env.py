@@ -2,10 +2,10 @@
 
 The paper trains over ~14,000 episodes; stepping one
 :class:`~repro.envs.lane_change_env.CooperativeLaneChangeEnv` at a time
-leaves the hot path dominated by per-agent Python loops (the profile is
-~65% lidar raycasts, the rest per-agent network calls).  :class:`VectorEnv`
-steps ``N`` environment instances synchronously with all vehicle state held
-in stacked NumPy arrays:
+leaves the hot path dominated by per-vehicle and per-agent Python work
+(kinematics, collision tests, one lidar scan and feature vector per agent).
+:class:`VectorEnv` steps ``N`` environment instances synchronously with all
+vehicle state held in stacked NumPy arrays:
 
 * kinematics, collision tests, merge bookkeeping and team rewards are
   evaluated for all ``N * num_vehicles`` vehicles in one shot,
@@ -13,7 +13,13 @@ in stacked NumPy arrays:
   shared :meth:`~repro.envs.sensors.Lidar.scan_batch` raycast kernel,
 * finished environments auto-reset: the returned row holds the first
   observation of the next episode and ``infos[i]`` carries the finished
-  episode's summary plus its terminal observation.
+  episode's summary plus its terminal observation.  A caller that starts
+  seeded episodes passes the seeds to :meth:`VectorEnv.step`
+  (``reset_seeds``), so each finished env resets once, seeded;
+* every reset (auto-reset, :meth:`VectorEnv.reset`,
+  :meth:`VectorEnv.reset_env`) only spawns vehicles per env and observes
+  the reset rows with the same batched kernel, never the scalar per-agent
+  ``_observe``.
 
 The vectorized step reproduces the scalar environment **bitwise**: every
 arithmetic expression mirrors the scalar code path elementwise, and the
@@ -179,9 +185,13 @@ class VectorEnv(VectorStepper):
         # this throwaway reset does not perturb seeded rollouts.  Distinct
         # per-env seeds matter for the unseeded path: reset(seeds=None)
         # continues these streams, and N identical streams would hand every
-        # env the same initial-condition sequence forever.
+        # env the same initial-condition sequence forever.  Its observation
+        # is never read, so the fast path only spawns.
         for i, env in enumerate(self._envs):
-            env.reset(seed=i)
+            if self._fast:
+                env._spawn(seed=i)
+            else:
+                env.reset(seed=i)
             self._read_static(i)
             self._sync_from_env(i)
 
@@ -332,12 +342,30 @@ class VectorEnv(VectorStepper):
         ``seeds`` may be None (each env continues its own RNG stream), one
         int (env ``i`` gets ``seeds + i``), or one seed per env.
         """
-        seed_list = self._normalize_seeds(seeds)
-        per_env = []
-        for i, (env, seed) in enumerate(zip(self._envs, seed_list)):
-            per_env.append(env.reset(seed=seed))
+        return self._reset_rows(range(self.num_envs), self._normalize_seeds(seeds))
+
+    def _reset_rows(
+        self, rows: Sequence[int], seeds: Sequence[int | None]
+    ) -> ObsBatch:
+        """Reset envs ``rows`` (``seeds[k]`` for ``rows[k]``); their stacked
+        observations, in ``rows`` order.
+
+        Every reset goes through here.  On the fast path each env only
+        spawns its vehicles and all ``rows`` are observed by one
+        :meth:`_observe_batch` call (bitwise equal to the scalar
+        ``reset``'s per-agent observations); the fallback runs each env's
+        own scalar ``reset``.
+        """
+        if not self._fast:
+            per_env = []
+            for i, seed in zip(rows, seeds):
+                per_env.append(self._envs[i].reset(seed=seed))
+                self._sync_from_env(i)
+            return self._stack_obs(per_env)
+        for i, seed in zip(rows, seeds):
+            self._envs[i]._spawn(seed)
             self._sync_from_env(i)
-        return self._stack_obs(per_env)
+        return self._observe_batch(np.asarray(rows, dtype=np.int64))
 
     def _stack_obs(self, per_env: list[dict[str, dict[str, np.ndarray]]]) -> ObsBatch:
         keys = per_env[0][self.agents[0]].keys()
@@ -351,35 +379,24 @@ class VectorEnv(VectorStepper):
             for key in keys
         }
 
-    def _reset_env(self, i: int) -> dict[str, dict[str, np.ndarray]]:
-        obs = self._envs[i].reset()
-        self._sync_from_env(i)
-        return obs
-
     def reset_env(self, i: int, seed: int | None = None) -> dict[str, np.ndarray]:
         """Reset just environment ``i`` (optionally seeded).
 
-        Returns that env's observation rows stacked over agents, so callers
-        driving per-env episode schedules (e.g. seeded per-episode resets in
-        :func:`repro.baselines.base.train_marl_vectorized`) can overwrite the
-        corresponding rows of a batched observation.
+        Returns that env's observation rows stacked over agents, so a
+        caller can overwrite the corresponding rows of a batched
+        observation.  Loops that start a seeded episode whenever an env
+        finishes pass the seeds to :meth:`step` instead (one reset, not
+        two).
         """
         if not 0 <= i < self.num_envs:
             raise IndexError(f"env index {i} out of range [0, {self.num_envs})")
-        obs = self._envs[i].reset(seed=seed)
-        self._sync_from_env(i)
-        return {
-            key: np.stack([obs[agent][key] for agent in self.agents]).astype(
-                self.obs_dtype, copy=False
-            )
-            for key in obs[self.agents[0]]
-        }
+        return {key: rows[0] for key, rows in self._reset_rows([i], [seed]).items()}
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(
-        self, actions: np.ndarray
+        self, actions: np.ndarray, reset_seeds: Sequence[int | None] = ()
     ) -> tuple[ObsBatch, np.ndarray, np.ndarray, list[dict[str, Any]]]:
         """Advance every environment one step.
 
@@ -388,17 +405,19 @@ class VectorEnv(VectorStepper):
         arrays, ``rewards``/``dones`` are ``(num_envs,)`` (the team reward is
         shared), and finished environments auto-reset with their summary in
         ``infos[i]["episode"]`` and the pre-reset observation in
-        ``infos[i]["terminal_observation"]``.
+        ``infos[i]["terminal_observation"]``.  The k-th finished env (in env
+        order) resets with ``reset_seeds[k]``; past the end of the list it
+        continues its own RNG stream.
         """
         actions = np.asarray(actions, dtype=np.float64)
         expected = (self.num_envs, self.num_agents, 2)
         if actions.shape != expected:
             raise ValueError(f"actions must have shape {expected}, got {actions.shape}")
         if not self._fast:
-            return self._step_fallback(actions)
-        return self._step_fast(actions)
+            return self._step_fallback(actions, reset_seeds)
+        return self._step_fast(actions, reset_seeds)
 
-    def _step_fast(self, actions: np.ndarray):
+    def _step_fast(self, actions: np.ndarray, reset_seeds: Sequence[int | None]):
         cfg = self.scenario
         rew = self.rewards
         n, a, v = self.num_envs, self.num_agents, self._num_vehicles
@@ -489,17 +508,18 @@ class VectorEnv(VectorStepper):
                 key: value[i].copy() for key, value in observations.items()
             }
         if self.auto_reset and dones.any():
-            for i in np.flatnonzero(dones):
-                reset_obs = self._reset_env(i)
-                for key in observations:
-                    observations[key][i] = np.stack(
-                        [reset_obs[agent][key] for agent in self.agents]
-                    )
+            rows = np.flatnonzero(dones)
+            reset_obs = self._reset_rows(
+                rows, self._auto_reset_seeds(rows, reset_seeds)
+            )
+            for key in observations:
+                observations[key][rows] = reset_obs[key]
         return observations, rewards, dones, infos
 
-    def _step_fallback(self, actions: np.ndarray):
+    def _step_fallback(self, actions: np.ndarray, reset_seeds: Sequence[int | None]):
         """Generic path: step each wrapped env through its own scalar step."""
         n = self.num_envs
+        finished = 0
         per_env_obs = []
         rewards = np.zeros(n)
         dones = np.zeros(n, dtype=bool)
@@ -521,7 +541,9 @@ class VectorEnv(VectorStepper):
                     for key in obs[env.agents[0]]
                 }
                 if self.auto_reset:
-                    obs = env.reset()
+                    (seed,) = self._auto_reset_seeds([i], reset_seeds[finished:])
+                    obs = env.reset(seed=seed)
+                finished += 1
             self._sync_from_env(i)
             per_env_obs.append(obs)
             infos.append(step_info)
@@ -537,12 +559,16 @@ class VectorEnv(VectorStepper):
         """Mirror ``Vehicle.apply_action`` elementwise for the given columns
         (crashed vehicles are frozen exactly as the scalar early-return does).
         """
+        # np.minimum/np.maximum instead of np.clip: same values at a
+        # fraction of the call overhead on these small arrays.
         alive = ~self._crashed[:, cols]
-        lin = np.clip(lin_cmd, 0.0, self._max_lin[cols])
-        ang = np.clip(ang_cmd, -self._max_ang[cols], self._max_ang[cols])
-        heading = np.clip(
-            wrap_angle(self._heading[:, cols] + ang * dt),
-            -MAX_HEADING_ERROR,
+        lin = np.minimum(np.maximum(lin_cmd, 0.0), self._max_lin[cols])
+        max_ang = self._max_ang[cols]
+        ang = np.minimum(np.maximum(ang_cmd, -max_ang), max_ang)
+        heading = np.minimum(
+            np.maximum(
+                wrap_angle(self._heading[:, cols] + ang * dt), -MAX_HEADING_ERROR
+            ),
             MAX_HEADING_ERROR,
         )
         ds = lin * np.cos(heading) * dt
@@ -561,7 +587,7 @@ class VectorEnv(VectorStepper):
         lane = self._lane_of(self._d[:, cols])
         lateral_error = self._lane_center(lane) - self._d[:, cols]
         command = gain * lateral_error - 1.5 * gain * self._heading[:, cols]
-        return np.clip(command, -0.3, 0.3)
+        return np.minimum(np.maximum(command, -0.3), 0.3)
 
     def _cruiser_commands(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized ``LaneKeepingCruiser`` command for scripted vehicle
@@ -607,7 +633,7 @@ class VectorEnv(VectorStepper):
         track = self._envs[0].track
         half_span = track.num_lanes * track.lane_width / 2.0
         index = np.floor((d + half_span) / track.lane_width).astype(np.int64)
-        return np.clip(index, 0, track.num_lanes - 1)
+        return np.minimum(np.maximum(index, 0), track.num_lanes - 1)
 
     def _lane_center(self, lane: np.ndarray) -> np.ndarray:
         track = self._envs[0].track
@@ -618,27 +644,34 @@ class VectorEnv(VectorStepper):
     # ------------------------------------------------------------------
     # Batched observations
     # ------------------------------------------------------------------
-    def _observe_batch(self) -> ObsBatch:
-        cfg = self.scenario
-        n, a, v = self.num_envs, self.num_agents, self._num_vehicles
-        track = self._envs[0].track
+    def _observe_batch(self, rows: np.ndarray | slice = slice(None)) -> ObsBatch:
+        """Observations of envs ``rows`` (all by default), stacked.
 
-        lane = self._lane_of(self._d[:, :a])
+        Every kernel below is elementwise per env, so observing a subset of
+        rows gives bitwise the rows a full-batch call would.
+        """
+        cfg = self.scenario
+        a, v = self.num_agents, self._num_vehicles
+        track = self._envs[0].track
+        s, d = self._s[rows], self._d[rows]
+        heading, lin = self._heading[rows, :a], self._lin[rows, :a]
+        n = len(s)
+
+        lane = self._lane_of(d[:, :a])
         lane_onehot = np.eye(cfg.num_lanes, dtype=self.obs_dtype)[lane]
-        speed = np.array(self._lin[:, :a, None], dtype=self.obs_dtype)
+        speed = np.array(lin[:, :, None], dtype=self.obs_dtype)
 
         # Lidar: one raycast kernel call for all (env, agent) egos; each
         # ego's own disc is masked out (the scalar scan skips `other is ego`).
-        origins = np.stack([self._s[:, :a], self._d[:, :a]], axis=-1).reshape(-1, 2)
-        headings = self._heading[:, :a].reshape(-1)
-        centers = np.stack([self._s, self._d], axis=-1)  # (n, v, 2)
+        origins = np.stack([s[:, :a], d[:, :a]], axis=-1).reshape(-1, 2)
+        centers = np.stack([s, d], axis=-1)  # (n, v, 2)
         centers = np.broadcast_to(centers[:, None], (n, a, v, 2)).reshape(-1, v, 2)
         radii = np.broadcast_to(self._radius, (n * a, v))
         not_self = ~np.eye(a, v, dtype=bool)
         valid = np.broadcast_to(not_self, (n, a, v)).reshape(-1, v)
         lidar = self._envs[0].lidar.scan_batch(
             origins,
-            headings,
+            heading.reshape(-1),
             centers,
             radii,
             half_width=track.half_width,
@@ -646,7 +679,7 @@ class VectorEnv(VectorStepper):
             valid=valid,
         ).reshape(n, a, -1).astype(self.obs_dtype, copy=False)
 
-        features = self._feature_batch(lane, lane_onehot)
+        features = self._feature_batch(s, d, heading, lin, lane, lane_onehot)
         return {
             "lidar": lidar,
             "speed": speed,
@@ -654,18 +687,28 @@ class VectorEnv(VectorStepper):
             "features": features,
         }
 
-    def _feature_batch(self, lane: np.ndarray, lane_onehot: np.ndarray) -> np.ndarray:
-        """Vectorized :func:`repro.envs.sensors.feature_vector`."""
+    def _feature_batch(
+        self,
+        s: np.ndarray,
+        d: np.ndarray,
+        heading: np.ndarray,
+        lin: np.ndarray,
+        lane: np.ndarray,
+        lane_onehot: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :func:`repro.envs.sensors.feature_vector` for the
+        observed rows (``s``/``d`` over all vehicles, ``heading``/``lin``
+        over the learning agents)."""
         cfg = self.scenario
-        n, a, v = self.num_envs, self.num_agents, self._num_vehicles
+        n, a, v = len(s), self.num_agents, self._num_vehicles
         track = self._envs[0].track
         horizon = 3.0
 
-        deviation = self._d[:, :a] - self._lane_center(lane)
-        lane_all = self._lane_of(self._d)  # (n, v)
+        deviation = d[:, :a] - self._lane_center(lane)
+        lane_all = self._lane_of(d)  # (n, v)
 
         # Signed periodic gap from each ego to every vehicle, self masked.
-        gap = self._signed_gap(self._s[:, :a, None], self._s[:, None, :])  # (n, a, v)
+        gap = self._signed_gap(s[:, :a, None], s[:, None, :])  # (n, a, v)
         not_self = ~np.eye(a, v, dtype=bool)[None]  # (1, a, v)
         same_lane = lane_all[:, None, :] == lane[:, :, None]
         if track.num_lanes == 2:
@@ -688,8 +731,8 @@ class VectorEnv(VectorStepper):
         # in float64 and rounds exactly once on store.
         features = np.empty((n, a, 3 + cfg.num_lanes + 3), dtype=self.obs_dtype)
         features[:, :, 0] = deviation / track.lane_width
-        features[:, :, 1] = self._heading[:, :a]
-        features[:, :, 2] = self._lin[:, :a]
+        features[:, :, 1] = heading
+        features[:, :, 2] = lin
         features[:, :, 3 : 3 + cfg.num_lanes] = lane_onehot
         features[:, :, 3 + cfg.num_lanes] = fwd_same
         features[:, :, 4 + cfg.num_lanes] = fwd_other

@@ -214,12 +214,13 @@ class VectorBaselineEnv:
         """Seeded reset of one env; returns its ``(num_agents, obs_dim)`` rows."""
         return self.flatten(self.vec_env.reset_env(i, seed=seed))
 
-    def step(self, actions: np.ndarray):
+    def step(self, actions: np.ndarray, reset_seeds=()):
         """Step with integer actions of shape ``(num_envs, num_agents)``.
 
         Returns ``(obs, rewards, dones, infos)`` exactly like
         :meth:`VectorEnv.step`, with flat observations and any
-        ``terminal_observation`` entries flattened the same way.
+        ``terminal_observation`` entries flattened the same way;
+        ``reset_seeds`` seeds the finished envs' auto-resets in env order.
         """
         actions = np.asarray(actions, dtype=np.int64)
         expected = (self.num_envs, self.num_agents)
@@ -232,7 +233,9 @@ class VectorBaselineEnv:
                 f"actions must be in [0, {self.num_actions}), got "
                 f"[{actions.min()}, {actions.max()}]"
             )
-        obs, rewards, dones, infos = self.vec_env.step(self._action_table[actions])
+        obs, rewards, dones, infos = self.vec_env.step(
+            self._action_table[actions], reset_seeds
+        )
         for info in infos:
             if "terminal_observation" in info:
                 info["terminal_observation"] = self.flatten(

@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
+    evaluate_marl_vectorized,
     make_baseline,
     train_marl,
     train_marl_vectorized,
 )
+from repro.baselines.base import _learn_marl
 from repro.config import ScenarioConfig
 from repro.envs import (
     DiscreteActionWrapper,
@@ -30,6 +32,7 @@ from repro.envs import (
 )
 from repro.envs.wrappers import VectorBaselineEnv
 from repro.training.replay import JointReplayBuffer, ReplayBuffer
+from repro.utils.logging_utils import MetricLogger, eval_metrics
 from repro.utils.seeding import episode_reset_seeds
 
 ALL = ["idqn", "maddpg", "coma", "maac"]
@@ -235,3 +238,102 @@ class TestBatchedPlumbing:
         assert len(set(seeds.tolist())) == 20  # spawn children never collide
         np.testing.assert_array_equal(seeds[:5], episode_reset_seeds(9, 5))
         assert not np.array_equal(seeds, episode_reset_seeds(10, 20))
+
+
+class TestDeferredEval:
+    """``_learn_marl`` defers an eval past its batch only when no update of
+    that batch follows it, so every eval reads the weights of its episode."""
+
+    EVAL_SEED = 4
+
+    @staticmethod
+    def _row(vec, episodes):
+        n, a, d = vec.num_envs, vec.num_agents, vec.obs_dim
+        summary = {
+            "episode_reward": 1.0,
+            "collision": 0.0,
+            "merge_success_rate": 0.0,
+            "mean_speed": 0.1,
+            "length": 6.0,
+        }
+        return {
+            "obs": np.zeros((n, a, d)),
+            "actions": np.zeros((n, a), dtype=np.int64),
+            "rewards": np.zeros(n),
+            "next_obs": np.zeros((n, a, d)),
+            "dones": np.ones(n, dtype=bool),
+            "episodes": list(episodes),
+            "summaries": [summary] * len(episodes),
+        }
+
+    @staticmethod
+    def _perturber(algo, seed=0):
+        """A stand-in update: random steps on every Q-network weight."""
+        rng = np.random.default_rng(seed)
+
+        def update():
+            for net in algo.q_networks.values():
+                for param in net.parameters():
+                    param.data += rng.normal(0.0, 0.5, param.data.shape)
+            return {"loss": 0.0}
+
+        return update
+
+    def _eval(self, algo, vec, episode):
+        return evaluate_marl_vectorized(
+            vec, algo, episodes=2, seed=self.EVAL_SEED + 500 + episode
+        )
+
+    def test_eval_due_mid_batch_sees_its_own_update(self):
+        vec = make_baseline_vector_env(2, scenario=small_scenario())
+        algo = make_baseline("idqn", vec, seed=3, batch_size=16)
+        initial = algo.state_dict()
+
+        # Reference: every eval right after its own episode's update.
+        update = self._perturber(algo)
+        update()
+        expected = {0: self._eval(algo, vec, 0)}
+        update()
+        wrong_0 = self._eval(algo, vec, 0)  # episode 0's eval one update late
+        update()
+        expected[2] = self._eval(algo, vec, 2)
+        update()
+        expected[3] = self._eval(algo, vec, 3)
+        assert wrong_0 != expected[0], "perturbation too weak to tell evals apart"
+
+        algo.load_state_dict(initial)
+        # Batch 1 finishes episodes 0 (eval due) and 1: episode 0's eval must
+        # run inline, before episode 1's update.  Episodes 2 and 3 end their
+        # batches, so their evals are deferred: 2's to the next collect,
+        # 3's (the last) to the end of the budget.
+        batches = [[self._row(vec, [0, 1])], [self._row(vec, [2])], [self._row(vec, [3])]]
+        handed = []
+
+        def collect(while_waiting=None):
+            handed.append(while_waiting is not None)
+            if while_waiting is not None:
+                while_waiting()
+            return batches.pop(0)
+
+        logger = _learn_marl(
+            collect,
+            algorithm=algo,
+            episodes=4,
+            seed=self.EVAL_SEED,
+            epsilon_schedule=lambda e: 0.1,
+            updates_per_episode=1,
+            logger=MetricLogger(),
+            prefix="idqn",
+            eval_every=2,
+            eval_episodes=2,
+            eval_vec_env=vec,
+            update_fn=self._perturber(algo),
+        )
+        assert handed == [False, False, True]
+        for name, _ in eval_metrics("idqn", expected[0]).items():
+            np.testing.assert_array_equal(logger.steps(name), [0, 2, 3])
+            np.testing.assert_array_equal(
+                logger.values(name),
+                [eval_metrics("idqn", expected[e])[name] for e in (0, 2, 3)],
+            )
+        np.testing.assert_array_equal(logger.steps("idqn/episode_reward"), [0, 1, 2, 3])

@@ -234,6 +234,41 @@ class TestParameterServer:
         finally:
             server.release()
 
+    def test_read_poll_backs_off_and_checks_stop_and_abort_every_slice(
+        self, monkeypatch
+    ):
+        """Waits start near-spin (0.1 ms) and double up to the 10 ms cap;
+        every slice still polls the stop flag and the abort callback."""
+        from repro.distributed import parameter_server
+
+        server = ParameterServer({"w": 1})
+        delays, abort_polls = [], []
+
+        def fake_sleep(delay):
+            delays.append(delay)
+            if len(delays) == 12:
+                server.request_stop()
+
+        def abort():
+            abort_polls.append(len(delays))
+            return None
+
+        monkeypatch.setattr(parameter_server.time, "sleep", fake_sleep)
+        try:
+            with pytest.raises(RuntimeError, match="stopped"):
+                server.read(min_version=0, abort=abort)
+            expected, delay = [], 1e-4
+            for _ in range(12):
+                expected.append(delay)
+                delay = min(delay * 2.0, 0.01)
+            assert delays == expected
+            assert delays[0] == 1e-4 and max(delays) == 0.01
+            # Abort was polled before every sleep; the stop set during the
+            # 12th sleep is seen on the very next slice.
+            assert abort_polls == list(range(12))
+        finally:
+            server.release()
+
     def test_rng_sidecar_roundtrip(self):
         server = ParameterServer({"w": 1}, num_rngs=2)
         try:

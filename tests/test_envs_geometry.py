@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ScenarioConfig
 from repro.envs import (
     Lidar,
     PseudoCamera,
     RingTrack,
     StraightTrack,
+    VectorEnv,
     Vehicle,
     feature_dim,
     feature_vector,
@@ -38,6 +40,26 @@ class TestTrack:
     def test_lane_of_clamps(self):
         assert self.track.lane_of(-100.0) == 0
         assert self.track.lane_of(100.0) == 1
+
+    @pytest.mark.parametrize("num_lanes", [1, 2, 3])
+    def test_lane_of_matches_vector_kernel_on_dense_grid(self, num_lanes):
+        """Scalar ``lane_of`` and ``VectorEnv._lane_of`` agree everywhere,
+        lane boundaries and far off-road offsets included."""
+        vec = VectorEnv(1, scenario=ScenarioConfig(num_lanes=num_lanes))
+        track = vec.track
+        edges = -track.half_width + track.lane_width * np.arange(num_lanes + 1)
+        grid = np.concatenate(
+            [
+                np.linspace(-3 * track.half_width, 3 * track.half_width, 4001),
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [-0.0, 0.0, -1e9, 1e9],
+            ]
+        )
+        expected = [track.lane_of(float(d)) for d in grid]
+        np.testing.assert_array_equal(vec._lane_of(grid), expected)
+        assert all(type(lane) is int for lane in expected)
 
     def test_signed_gap_shortest_path(self):
         assert self.track.signed_gap(1.0, 19.0) == pytest.approx(-2.0)

@@ -126,49 +126,43 @@ class TestBitForBitAtOneEnv:
 class TestSeedStreams:
     """Episode e always evaluates under episode_reset_seeds(seed, n)[e]."""
 
-    def _recorded_seeds(self, monkeypatch, n_envs, episodes, seed, scenario):
-        """Run a baseline eval at N>1 and record every seeded reset."""
-        recorded = {}
-        original_reset = VectorEnv.reset
-        original_reset_env = VectorEnv.reset_env
+    def _recorded_resets(self, monkeypatch, n_envs, episodes, seed, scenario):
+        """Run a baseline eval at N>1 and record every batch of resets.
 
-        def recording_reset(self, seeds=None):
-            if seeds is not None:
-                for i, value in enumerate(seeds):
-                    if value is not None:
-                        recorded.setdefault(("initial", i), value)
-            return original_reset(self, seeds)
+        ``VectorEnv._reset_rows`` is the one seam every reset takes: the
+        initial ``reset`` and each step's seeded auto-resets.  Returns the
+        ``(rows, seeds)`` of each call, in call order.
+        """
+        calls = []
+        original = VectorEnv._reset_rows
 
-        def recording_reset_env(self, i, seed=None):
-            if seed is not None:
-                recorded[("relaunch", len(recorded))] = seed
-            return original_reset_env(self, i, seed=seed)
+        def recording_reset_rows(self, rows, seeds):
+            calls.append(([int(i) for i in rows], list(seeds)))
+            return original(self, rows, seeds)
 
-        monkeypatch.setattr(VectorEnv, "reset", recording_reset)
-        monkeypatch.setattr(VectorEnv, "reset_env", recording_reset_env)
         _, algo = trained_baseline("idqn", scenario, episodes=1)
+        monkeypatch.setattr(VectorEnv, "_reset_rows", recording_reset_rows)
         evaluate_marl_vectorized(
             make_baseline_vector_env(n_envs, scenario=scenario),
             algo,
             episodes=episodes,
             seed=seed,
         )
-        return recorded
+        return calls
 
     def test_seed_stream_at_three_envs_matches_scalar_stream(self, monkeypatch):
         scenario = small_scenario()
         episodes, seed = 6, 13
-        recorded = self._recorded_seeds(monkeypatch, 3, episodes, seed, scenario)
+        calls = self._recorded_resets(monkeypatch, 3, episodes, seed, scenario)
         expected = episode_reset_seeds(seed, episodes)
         # Envs 0..2 start episodes 0..2; every relaunch consumes the next
         # episode index in order, so the multiset of seeded resets is
         # exactly the scalar evaluator's stream.
-        initial = [recorded[("initial", i)] for i in range(3)]
-        np.testing.assert_array_equal(initial, expected[:3])
-        relaunches = sorted(
-            value for key, value in recorded.items() if key[0] == "relaunch"
-        )
-        assert sorted(relaunches) == sorted(int(s) for s in expected[3:])
+        (initial_rows, initial_seeds), relaunches = calls[0], calls[1:]
+        assert initial_rows == [0, 1, 2]
+        np.testing.assert_array_equal(initial_seeds, expected[:3])
+        relaunched = [s for _, seeds in relaunches for s in seeds if s is not None]
+        assert sorted(relaunched) == sorted(int(s) for s in expected[3:])
 
     def test_scalar_evaluators_use_episode_reset_seeds(self, monkeypatch):
         """The scalar evaluators' seeds come from episode_reset_seeds, so

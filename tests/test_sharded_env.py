@@ -122,6 +122,34 @@ def test_sharded_matches_single_process(traffic: str, num_workers: int):
             np.testing.assert_array_equal(obs_ref[key], obs_sh[key])
 
 
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_sharded_matches_single_process_under_reset_seeds(num_workers: int):
+    """``step(reset_seeds=)``: finished envs take the queue in global env
+    order on both engines (the sharded one re-resets the seeded rows)."""
+    factory = FACTORIES["slow_leader"]
+    n = 5
+    ref = VectorEnv(n, env_fns=[factory] * n)
+    queue = [int(seed) for seed in np.random.default_rng(7).integers(0, 2**31 - 1, 64)]
+    with ShardedVectorEnv(n, env_factory=factory, num_workers=num_workers) as sharded:
+        ref.reset(11)
+        sharded.reset(11)
+        rng = np.random.default_rng(3)
+        finished = 0
+        for step in range(14):
+            actions = rng.uniform([0.0, -0.5], [0.3, 0.5], size=(n, ref.num_agents, 2))
+            # Short lists too: some finished envs run past the queue.
+            seeds = queue[finished : finished + (step % 4)]
+            out_ref = ref.step(actions, reset_seeds=seeds)
+            _assert_step_equal(out_ref, sharded.step(actions, reset_seeds=seeds))
+            np.testing.assert_array_equal(ref.agent_d, sharded.agent_d)
+            np.testing.assert_array_equal(ref.agent_heading, sharded.agent_heading)
+            np.testing.assert_array_equal(ref.lane_ids, sharded.lane_ids)
+            finished += int(out_ref[2].sum())
+        assert finished > n, "rollout never crossed enough episode boundaries"
+        # Unseeded auto-resets afterwards continue identical streams.
+        _roll_both(ref, sharded, steps=6, seed=4)
+
+
 def test_sharded_spawn_context_matches():
     """The worker entrypoint survives the spawn start method bitwise."""
     factory = FACTORIES["slow_leader"]

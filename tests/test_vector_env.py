@@ -149,6 +149,28 @@ class TestScalarAgreement:
             assert vec.lane_deviation[0, k] == vehicle.lane_deviation
 
 
+    def test_kinematics_clamp_keeps_scalar_zero_sign(self):
+        """A ``-0.0`` speed command clamps to the scalar ``clamp``'s ``+0.0``
+        (stored speed, speed observation and heading bits all agree)."""
+        vec = VectorEnv(1)
+        scalar = CooperativeLaneChangeEnv()
+        vec.reset([3])
+        scalar.reset(seed=3)
+        actions = np.zeros((1, vec.num_agents, 2))
+        actions[..., 0] = -0.0
+        actions[0, 0, 1] = -0.0
+        vec_obs, _, _, _ = vec.step(actions)
+        scalar_obs, _, _, _ = scalar.step(
+            {a: actions[0, k] for k, a in enumerate(scalar.agents)}
+        )
+        for k, agent in enumerate(scalar.agents):
+            state = scalar.vehicle(agent).state
+            assert vec._lin[0, k].tobytes() == np.float64(state.linear_speed).tobytes()
+            assert vec._ang[0, k].tobytes() == np.float64(state.angular_speed).tobytes()
+            assert vec._heading[0, k].tobytes() == np.float64(state.heading).tobytes()
+        assert_rows_bitwise(vec_obs, scalar_obs, 0, vec.agents)
+
+
 class TestScriptedPolicyKernels:
     """Fast-path eligibility + bitwise parity for the vectorized scripted
     controllers (SlowLeader is covered by TestScalarAgreement)."""
@@ -288,6 +310,117 @@ class TestResetEnv:
         vec = VectorEnv(2)
         with pytest.raises(IndexError):
             vec.reset_env(2)
+
+
+def assert_rows_bitwise(vec_obs, scalar_obs, env_index, agents):
+    """Bit-pattern equality (signed zeros included) of one env's rows."""
+    for k, agent in enumerate(agents):
+        for key, value in scalar_obs[agent].items():
+            got = np.asarray(vec_obs[key][env_index, k], dtype=np.float64)
+            assert got.tobytes() == np.asarray(value, dtype=np.float64).tobytes(), (
+                f"env {env_index} agent {agent} key {key}"
+            )
+
+
+class TestResetSeeds:
+    """One seeded, batched reset per finished env (``step(reset_seeds=)``)."""
+
+    def test_queue_rule_short_list_and_none(self):
+        rows = np.array([1, 3, 4])
+        assert VectorEnv._auto_reset_seeds(rows, [10, 11, 12, 13]) == [10, 11, 12]
+        assert VectorEnv._auto_reset_seeds(rows, [10]) == [10, None, None]
+        assert VectorEnv._auto_reset_seeds(rows, [None, 7]) == [None, 7, None]
+        assert VectorEnv._auto_reset_seeds(rows, ()) == [None, None, None]
+        seeds = VectorEnv._auto_reset_seeds(rows, np.array([5, 6], dtype=np.int64))
+        assert seeds == [5, 6, None] and all(type(s) in (int, type(None)) for s in seeds)
+
+    @pytest.mark.parametrize("seeds", [[0, 1, 2], [7, 123456, 2**31 - 2, 42]])
+    def test_batched_reset_rows_bitwise_equal_scalar_reset(self, seeds):
+        vec = VectorEnv(len(seeds))
+        assert vec.fast_path
+        obs = vec.reset(seeds)
+        for i, seed in enumerate(seeds):
+            expected = CooperativeLaneChangeEnv().reset(seed=seed)
+            assert_rows_bitwise(obs, expected, i, vec.agents)
+        row = vec.reset_env(1, seed=99)
+        expected = CooperativeLaneChangeEnv().reset(seed=99)
+        for k, agent in enumerate(vec.agents):
+            for key, value in expected[agent].items():
+                assert row[key][k].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_finished_envs_take_seeds_in_env_order(self, fast):
+        """All three envs finish at step 3: envs 0 and 1 take the two queued
+        seeds, env 2 (past the end of the list) continues its own stream."""
+        scenario = ScenarioConfig(episode_length=3)
+
+        def make_env():
+            policy = None if fast else _UnvectorizedPolicy()
+            return CooperativeLaneChangeEnv(scenario=scenario, scripted_policy=policy)
+
+        vec = VectorEnv(3, env_fns=[make_env] * 3)
+        unseeded = VectorEnv(3, env_fns=[make_env] * 3)
+        assert vec.fast_path is fast
+        vec.reset([1, 2, 3])
+        unseeded.reset([1, 2, 3])
+        actions = np.zeros((3, vec.num_agents, 2))
+        for _ in range(2):
+            vec.step(actions, reset_seeds=[50, 51])  # nobody finishes yet
+            unseeded.step(actions)
+        obs, _, dones, infos = vec.step(actions, reset_seeds=[50, 51])
+        ref_obs, _, ref_dones, ref_infos = unseeded.step(actions)
+        assert dones.all() and ref_dones.all()
+        for i, seed in enumerate([50, 51]):
+            expected = make_env().reset(seed=seed)
+            assert_rows_bitwise(obs, expected, i, vec.agents)
+        for key in obs:
+            assert obs[key][2].tobytes() == ref_obs[key][2].tobytes()
+            np.testing.assert_array_equal(
+                infos[0]["terminal_observation"][key],
+                ref_infos[0]["terminal_observation"][key],
+            )
+        assert infos[1]["episode"] == ref_infos[1]["episode"]
+
+    def test_seeded_step_equals_step_then_reset_env(self):
+        """The old two-reset sequence and the one seeded reset agree."""
+        scenario = ScenarioConfig(episode_length=4)
+        a = VectorEnv(4, scenario=scenario)
+        b = VectorEnv(4, scenario=scenario)
+        a.reset(0)
+        b.reset(0)
+        rng = np.random.default_rng(5)
+        queue = list(range(1000, 1100))
+        for _ in range(14):
+            actions = random_actions(rng, 4, a.num_agents)
+            obs_a, _, dones_a, _ = a.step(actions, reset_seeds=queue[:4])
+            obs_b, _, dones_b, _ = b.step(actions)
+            np.testing.assert_array_equal(dones_a, dones_b)
+            for i in np.flatnonzero(dones_b):
+                row = b.reset_env(i, seed=queue.pop(0))
+                for key in obs_b:
+                    obs_b[key][i] = row[key]
+            for key in obs_a:
+                assert obs_a[key].tobytes() == obs_b[key].tobytes()
+        assert len(queue) < 100, "rollout never hit an episode boundary"
+
+    def test_fast_path_never_calls_scalar_observe(self, monkeypatch):
+        def forbidden(self, agent):
+            raise AssertionError("scalar _observe called on the fast path")
+
+        monkeypatch.setattr(CooperativeLaneChangeEnv, "_observe", forbidden)
+        vec = VectorEnv(3, scenario=ScenarioConfig(episode_length=3))
+        assert vec.fast_path
+        vec.reset([4, 5, 6])
+        vec.reset()
+        vec.reset_env(0, seed=8)
+        rng = np.random.default_rng(0)
+        finished = 0
+        for _ in range(7):
+            _, _, dones, _ = vec.step(
+                random_actions(rng, 3, vec.num_agents), reset_seeds=[9]
+            )
+            finished += int(dones.sum())
+        assert finished > 0
 
 
 class TestSyncToEnvs:
